@@ -17,7 +17,10 @@
 
 #include "kernelgen/Baselines.h"
 #include "kernelgen/SgemmGenerator.h"
+#include "probe/ProbeSpec.h"
 #include "sim/FaultInjector.h"
+#include "sim/Profile.h"
+#include "sim/Trace.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -45,13 +48,29 @@ struct FullRun {
   TrapInfo Trap;
   LaunchResult R;
   uint64_t MemHash = 0;
+  /// Filled only when the launch ran with observers attached.
+  KernelProfile Profile;
+  SimTrace Trace;
+  std::string ProbeReport;
 };
+
+/// Probes over every event family the simulator emits.
+const char *ObserverProbes =
+    "probe pcs { event inst_issued; aggregation count; key pc }\n"
+    "probe gbytes { event mem_access; aggregation sum; value bytes }\n"
+    "probe lost { event slot_lost; aggregation sum; value slots; "
+    "key cause }\n"
+    "probe conflicts { event bank_conflict; aggregation count }\n"
+    "probe blocks { event block_scheduled; aggregation watch; key block }\n"
+    "probe drains { event block_drained; aggregation count }\n"
+    "probe warps { event warp_exit; aggregation sum; value insts }\n";
 
 /// Runs the tuned NN kernel on a 192x192x64 problem (a multi-SM,
 /// multi-wave launch on both machines) with RNG-filled matrices,
-/// entirely full-sim, at \p Jobs.
+/// entirely full-sim, at \p Jobs. \p Observe attaches a profile, a
+/// trace and ObserverProbes.
 FullRun runTunedNN(const MachineDesc &M, int Jobs,
-                   uint64_t WatchdogCycles = 0) {
+                   uint64_t WatchdogCycles = 0, bool Observe = false) {
   FullRun Out;
   SgemmKernelConfig Cfg = baselineConfig(SgemmImpl::AsmTuned, M,
                                          GemmVariant::NN, 192, 192, 64);
@@ -82,8 +101,18 @@ FullRun runTunedNN(const MachineDesc &M, int Jobs,
   Launch.Mode = SimMode::Full;
   Launch.WatchdogCycles = WatchdogCycles;
   Launch.Jobs = Jobs;
+  auto Specs = parseProbeSpecs(ObserverProbes, "<observer probes>");
+  EXPECT_TRUE(Specs.hasValue()) << Specs.message();
+  ProbeEngine Probes(Specs.hasValue() ? Specs.take()
+                                      : std::vector<ProbeSpec>{});
+  if (Observe) {
+    Launch.Profile = &Out.Profile;
+    Launch.Trace = &Out.Trace;
+    Launch.Probes = &Probes;
+  }
 
   auto LR = launchKernel(M, K.take(), Launch, GM, &Out.Trap);
+  Out.ProbeReport = Probes.report();
   if (LR.hasValue()) {
     Out.Ok = true;
     Out.R = *LR;
@@ -182,6 +211,23 @@ TEST(ParallelSim, WatchdogTrapIdenticalAcrossJobs) {
   EXPECT_EQ(Serial.Trap.Kind, TrapKind::WatchdogTimeout);
   for (int Jobs : {2, 8})
     expectIdentical(Serial, runTunedNN(gtx580(), Jobs, 2000), Jobs);
+
+  // The observers follow the same rule: the trapping SM's partial
+  // profile, trace and probe results are merged before the launch
+  // reports the trap, and SMs after it contribute nothing.
+  FullRun Observed1 = runTunedNN(gtx580(), 1, 2000, /*Observe=*/true);
+  FullRun Observed3 = runTunedNN(gtx580(), 3, 2000, /*Observe=*/true);
+  expectIdentical(Serial, Observed1, 1);
+  expectIdentical(Serial, Observed3, 3);
+  EXPECT_GT(Observed1.Profile.totalIssues(), 0u);
+  EXPECT_FALSE(Observed1.Trace.Events.empty());
+  EXPECT_TRUE(Observed1.Profile == Observed3.Profile);
+  EXPECT_TRUE(Observed1.Trace.Events == Observed3.Trace.Events);
+  EXPECT_EQ(Observed1.Trace.DroppedEvents, Observed3.Trace.DroppedEvents);
+  EXPECT_EQ(Observed1.ProbeReport, Observed3.ProbeReport);
+  EXPECT_EQ(Observed1.ProbeReport.find("probe pcs: event=inst_issued "
+                                       "aggregation=count count=0\n"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -22,6 +22,7 @@
 #include "probe/ProbeSpec.h"
 #include "sim/Launcher.h"
 #include "sim/Profile.h"
+#include "sim/Trace.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -395,6 +396,115 @@ TEST(ProbeShadow, JsonObjectIsValidAndVersioned) {
   EXPECT_EQ(Pr->find("gbytes")->find("value")->Number,
             static_cast<double>(R->Stats.GlobalBytes));
 }
+
+//===----------------------------------------------------------------------===//
+// Observer independence: the profile, the trace and the probes see the
+// same events whether attached together or alone
+//===----------------------------------------------------------------------===//
+
+#ifdef GPUPERF_PROBES_DIR
+
+/// The stock specs under probes/, parsed into one engine.
+ProbeEngine stockProbes() {
+  std::vector<ProbeSpec> All;
+  for (const char *Name : {"gmem_bytes", "smem_bank_conflicts",
+                           "opclass_mix", "block_sched", "warp_progress"}) {
+    std::string Path =
+        std::string(GPUPERF_PROBES_DIR) + "/" + Name + ".probe";
+    std::ifstream In(Path);
+    EXPECT_TRUE(In.good()) << Path;
+    std::stringstream SS;
+    SS << In.rdbuf();
+    auto S = parseProbeSpecs(SS.str(), Path);
+    EXPECT_TRUE(S.hasValue()) << S.message();
+    if (S.hasValue())
+      for (ProbeSpec &P : S.take())
+        All.push_back(std::move(P));
+  }
+  return ProbeEngine(std::move(All));
+}
+
+struct ObserverCase {
+  const MachineDesc *M;
+  SimMode Mode;
+  int Jobs;
+};
+
+/// What the observers of one launch collected.
+struct Observed {
+  KernelProfile Profile;
+  SimTrace Trace;
+  std::string ProbeReport;
+};
+
+/// Launches the tuned NN kernel for \p C with the profile, a trace of
+/// ring capacity \p TraceRing (0 = no trace) and the stock probes
+/// attached as requested.
+Observed observeLaunch(const ObserverCase &C, bool WithProfile,
+                       size_t TraceRing, bool WithProbes) {
+  Observed Out;
+  NNProblem P = makeTunedNN(*C.M);
+  P.Launch.Mode = C.Mode;
+  P.Launch.Jobs = C.Jobs;
+  ProbeEngine Probes = stockProbes();
+  if (WithProfile)
+    P.Launch.Profile = &Out.Profile;
+  if (TraceRing) {
+    Out.Trace.RingCapacity = TraceRing;
+    P.Launch.Trace = &Out.Trace;
+  }
+  if (WithProbes)
+    P.Launch.Probes = &Probes;
+  GlobalMemory GM(P.MemBytes + 512);
+  auto R = launchKernel(*C.M, P.K, P.Launch, GM);
+  EXPECT_TRUE(R.hasValue()) << R.message();
+  if (WithProbes)
+    Out.ProbeReport = Probes.report();
+  return Out;
+}
+
+class ObserverFanOut : public ::testing::TestWithParam<ObserverCase> {};
+
+TEST_P(ObserverFanOut, TogetherEqualsAlone) {
+  const ObserverCase &C = GetParam();
+  const size_t DefaultRing = SimTrace().RingCapacity;
+  Observed ProfileAlone = observeLaunch(C, true, 0, false);
+  Observed ProbesAlone = observeLaunch(C, false, 0, true);
+  EXPECT_GT(ProfileAlone.Profile.totalIssues(), 0u);
+  EXPECT_FALSE(ProbesAlone.ProbeReport.empty());
+  // A tiny ring forces evictions, so the dropped-event count and the
+  // surviving window are compared too.
+  for (size_t Ring : {DefaultRing, size_t(4)}) {
+    SCOPED_TRACE("ring=" + std::to_string(Ring));
+    Observed TraceAlone = observeLaunch(C, false, Ring, false);
+    Observed All = observeLaunch(C, true, Ring, true);
+    EXPECT_FALSE(TraceAlone.Trace.Events.empty());
+    if (Ring != DefaultRing) {
+      EXPECT_GT(TraceAlone.Trace.DroppedEvents, 0u);
+    }
+    EXPECT_TRUE(All.Profile == ProfileAlone.Profile);
+    EXPECT_TRUE(All.Trace.Events == TraceAlone.Trace.Events);
+    EXPECT_EQ(All.Trace.DroppedEvents, TraceAlone.Trace.DroppedEvents);
+    EXPECT_EQ(All.ProbeReport, ProbesAlone.ProbeReport);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMachines, ObserverFanOut,
+    ::testing::Values(ObserverCase{&gtx580(), SimMode::Full, 1},
+                      ObserverCase{&gtx580(), SimMode::Full, 3},
+                      ObserverCase{&gtx580(), SimMode::ProjectOneWave, 1},
+                      ObserverCase{&gtx680(), SimMode::Full, 1},
+                      ObserverCase{&gtx680(), SimMode::Full, 3},
+                      ObserverCase{&gtx680(), SimMode::ProjectOneWave, 1}),
+    [](const ::testing::TestParamInfo<ObserverCase> &I) {
+      return I.param.M->Name +
+             (I.param.Mode == SimMode::Full
+                  ? "_Full_Jobs" + std::to_string(I.param.Jobs)
+                  : std::string("_ProjectOneWave"));
+    });
+
+#endif // GPUPERF_PROBES_DIR
 
 //===----------------------------------------------------------------------===//
 // CLI surface: gpurun --probe / perfdiff --require
