@@ -57,8 +57,8 @@ ProbeEngine::ProbeEngine(std::vector<ProbeSpec> S) : Specs(std::move(S)) {
   States.resize(Specs.size());
   for (const ProbeSpec &P : Specs) {
     Wanted[static_cast<size_t>(P.Event)] = true;
-    // PCReached rides InstIssued records: firing sites only ever check
-    // wants(InstIssued).
+    // PCReached rides InstIssued records: the simulator only ever emits
+    // InstIssued.
     if (P.Event == ProbeEvent::PCReached)
       Wanted[static_cast<size_t>(ProbeEvent::InstIssued)] = true;
   }

@@ -6,18 +6,13 @@
 ///
 /// \file
 /// Evaluates parsed probe specs against simulation events. The engine is
-/// the imperative half of the probe layer: the SM simulator fires events
-/// at the same points Stats/Profile/Trace already observe, the engine
-/// applies each spec's filters and folds matching events into an
-/// accumulator (optionally split by a key field).
-///
-/// Concurrency model, mirroring SimTrace/KernelProfile:
-///   - each SM task fires into its own private clone (emptyClone), so the
-///     hot path takes no locks;
-///   - the launcher merges per-SM clones in SM index order, before any
-///     failure check, on both the serial and parallel paths;
-///   - every aggregation is commutative and associative over integers, so
-///     the merged result is bit-identical for every --jobs value.
+/// the imperative half of the probe layer: the SM simulator emits each
+/// event once to the SM's observer (sim/Observer.h), which fires it into
+/// a private clone (emptyClone) and merges the clone back in SM index
+/// order; the engine applies each spec's filters and folds matching
+/// events into an accumulator (optionally split by a key field). Every
+/// aggregation is commutative and associative over integers, so the
+/// merged result is bit-identical for every --jobs value.
 ///
 /// A process-wide engine can additionally be installed (BenchRun --probe):
 /// launches without an explicit LaunchConfig::Probes sink fire into a
@@ -45,9 +40,10 @@ class JsonWriter;
 /// not be "version"; the spec parser rejects that.)
 inline constexpr int ProbesObjectVersion = 1;
 
-/// One fired event: the firing site fills the fields its event carries
-/// (probeEventFields) and leaves the rest at their defaults. Fields are
-/// plain int64 so filters, keys, and values share one representation.
+/// One simulation event: the emitting site fills the fields its event
+/// carries (probeEventFields) and leaves the rest at their defaults.
+/// Fields are plain int64 so filters, keys, and values share one
+/// representation.
 struct ProbeEventRecord {
   int64_t PC = -1;
   int64_t Op = -1;
@@ -65,6 +61,9 @@ struct ProbeEventRecord {
   int64_t Cause = -1;
   int64_t Slots = 0;
   int64_t Insts = 0;
+  // Outside the probe grammar: the trace's track ids.
+  int64_t WarpSlot = -1; ///< SM warp slot (issues).
+  int64_t Sched = -1;    ///< Warp scheduler (issues, lost slots).
 
   int64_t get(ProbeField F) const;
 };
@@ -90,9 +89,9 @@ public:
   ProbeEngine() = default;
   explicit ProbeEngine(std::vector<ProbeSpec> Specs);
 
-  /// True when the engine has any probes; firing sites gate on
-  /// `E && E->wants(event)` so a disabled engine costs one branch.
+  /// True when the engine has any probes.
   bool enabled() const { return !Specs.empty(); }
+  /// True when some spec listens to \p E (InstIssued for PCReached).
   bool wants(ProbeEvent E) const {
     return Wanted[static_cast<size_t>(E)];
   }

@@ -14,54 +14,40 @@ using namespace gpuperf;
 
 namespace {
 
-/// Everything one concurrently-simulated SM produces: its private write
-/// overlay, its accumulated statistics, and -- when a wave failed -- the
-/// error exactly as the serial path would have reported it.
+/// Everything one SM produces: its private write overlay (parallel path
+/// only), its accumulated statistics, its observer, and -- when a wave
+/// failed -- the error exactly as the serial path would have reported it.
 struct SMOutcome {
   SimStats Stats;
   GlobalWriteOverlay Overlay;
-  std::vector<TraceEvent> TraceEvents;
-  uint64_t TraceDropped = 0;
-  KernelProfile Profile;
-  ProbeEngine Probes;
+  SMObserver Obs;
   int Waves = 0;
   bool Failed = false;
   std::string Error;
   TrapInfo Trap;
 };
 
-/// Runs all waves of one SM's block list. Used by both the serial and
-/// the parallel path so per-SM behaviour is the same code by
-/// construction; only where the writes land differs (direct vs overlay).
-/// \p TraceRing enables event recording when non-zero (ring capacity per
-/// track); the events land in Out.TraceEvents with SM still unset -- the
-/// caller stamps the SM index when merging, so the parallel path cannot
-/// depend on which worker simulated which SM.
+/// Runs all waves of one SM's block list. Used by every launch path so
+/// per-SM behaviour is the same code by construction; only where the
+/// writes land differs (direct vs overlay). The observer records with no
+/// SM index -- the merge stamps it, so the parallel path cannot depend on
+/// which worker simulated which SM.
 void runSMWaves(const MachineDesc &M, const Kernel &K, Executor &Exec,
                 const LaunchDims &Dims, const std::vector<int> &Mine,
-                int ActiveBlocks, uint64_t Watchdog, size_t TraceRing,
-                bool ProfileOn, const ProbeEngine *ProbeProto,
-                SMOutcome &Out) {
-  TraceRecorder Rec(TraceRing ? TraceRing : 1);
-  if (ProbeProto)
-    Out.Probes = ProbeProto->emptyClone();
+                int ActiveBlocks, uint64_t Watchdog,
+                const ObserverSinks &Sinks, SMOutcome &Out) {
+  Out.Obs = SMObserver(Sinks, K.Code.size());
   for (size_t First = 0; First < Mine.size();
        First += static_cast<size_t>(ActiveBlocks)) {
     size_t Last =
         std::min(Mine.size(), First + static_cast<size_t>(ActiveBlocks));
     std::vector<int> WaveBlocks(Mine.begin() + First, Mine.begin() + Last);
-    if (TraceRing)
-      Rec.beginWave(WaveBlocks.size() *
-                        static_cast<size_t>(Dims.warpsPerBlock()),
-                    std::max(1, M.WarpSchedulersPerSM), Out.Stats.Cycles);
-    if (ProbeProto)
-      Out.Probes.beginWave(Out.Stats.Cycles);
+    Out.Obs.beginWave(WaveBlocks.size() *
+                          static_cast<size_t>(Dims.warpsPerBlock()),
+                      std::max(1, M.WarpSchedulersPerSM), Out.Stats.Cycles);
     auto Wave = simulateWave(M, K, Exec, Dims, WaveBlocks, Watchdog,
-                             &Out.Trap, TraceRing ? &Rec : nullptr,
-                             ProfileOn ? &Out.Profile : nullptr,
-                             ProbeProto ? &Out.Probes : nullptr);
-    if (TraceRing)
-      Rec.endWave();
+                             &Out.Trap, &Out.Obs);
+    Out.Obs.endWave();
     if (!Wave) {
       Out.Failed = true;
       Out.Error = Wave.takeError();
@@ -70,46 +56,6 @@ void runSMWaves(const MachineDesc &M, const Kernel &K, Executor &Exec,
     Out.Stats.addSequential(*Wave);
     ++Out.Waves;
   }
-  if (TraceRing) {
-    Out.TraceEvents = Rec.take();
-    Out.TraceDropped = Rec.dropped();
-  }
-}
-
-/// Appends one SM's trace events to the launch-wide trace, stamping the
-/// SM index. Called in SM index order on both the serial and the
-/// parallel path so the trace is Jobs-invariant.
-void mergeTrace(SimTrace *Trace, int SMIndex, SMOutcome &Out) {
-  if (!Trace)
-    return;
-  for (TraceEvent &E : Out.TraceEvents) {
-    E.SM = static_cast<int16_t>(SMIndex);
-    Trace->Events.push_back(E);
-  }
-  Trace->DroppedEvents += Out.TraceDropped;
-  Out.TraceEvents.clear();
-}
-
-/// Accumulates one SM's per-PC profile into the launch-wide profile.
-/// Called in SM index order on both the serial and the parallel path --
-/// the profile, like the trace and the memory image, is Jobs-invariant.
-/// Follows mergeTrace's failure rule: a trapping SM's partial profile is
-/// merged before the launch reports the trap.
-void mergeProfile(KernelProfile *Profile, SMOutcome &Out) {
-  if (!Profile || Out.Profile.empty())
-    return;
-  Profile->add(Out.Profile);
-}
-
-/// Folds one SM's probe partial into the launch sink. Called in SM index
-/// order under mergeTrace's failure rule; because every probe
-/// aggregation is commutative and associative, the result is the same
-/// for any merge order -- the order is kept anyway so probes follow the
-/// same determinism discipline as the trace and profile.
-void mergeProbes(ProbeEngine *Sink, SMOutcome &Out) {
-  if (!Sink || !Out.Probes.enabled())
-    return;
-  Sink->merge(Out.Probes);
 }
 
 } // namespace
@@ -177,13 +123,10 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
       divideCeil(static_cast<uint64_t>(NumBlocks),
                  static_cast<uint64_t>(BlocksPerWaveChip)));
 
-  const size_t TraceRing =
-      Config.Trace ? std::max<size_t>(1, Config.Trace->RingCapacity) : 0;
-  const bool ProfileOn = Config.Profile != nullptr;
   // A profile carried over from a different kernel cannot accumulate
   // meaningfully; align its shape up front (same-kernel profiles keep
-  // accumulating across launches, mirroring simulateWave's contract).
-  if (ProfileOn && Config.Profile->codeSize() != K.Code.size())
+  // accumulating across launches).
+  if (Config.Profile && Config.Profile->codeSize() != K.Code.size())
     Config.Profile->reset(K.Code.size());
 
   // Resolve the probe sink: an explicit LaunchConfig sink wins; otherwise
@@ -206,113 +149,87 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
       Flusher.Partial = &LaunchLocalProbes;
     }
   }
-  const ProbeEngine *ProbeProto =
-      ProbeSink && ProbeSink->enabled() ? ProbeSink : nullptr;
+  const ObserverSinks Sinks{
+      Config.Trace, Config.Profile,
+      ProbeSink && ProbeSink->enabled() ? ProbeSink : nullptr};
 
+  // Blocks are distributed round-robin over SMs; each SM runs its share
+  // in waves of Occ.ActiveBlocks. ProjectOneWave simulates only the first
+  // wave of SM 0 -- blocks 0..N-1; for SGEMM-style kernels with
+  // data-independent control flow, the choice of blocks is
+  // timing-equivalent -- and extrapolates below.
+  std::vector<std::vector<int>> PerSMBlocks;
   if (Config.Mode == SimMode::ProjectOneWave) {
-    // Simulate the first wave of SM 0 and extrapolate. SM 0 gets blocks
-    // 0..N-1 of the wave; for SGEMM-style kernels with data-independent
-    // control flow, the choice of blocks is timing-equivalent.
-    std::vector<int> BlockIds;
+    PerSMBlocks.emplace_back();
     for (int B = 0; B < std::min(Occ.ActiveBlocks, NumBlocks); ++B)
-      BlockIds.push_back(B);
-    SMOutcome Out;
-    runSMWaves(M, K, Exec, Dims, BlockIds, Occ.ActiveBlocks, Watchdog,
-               TraceRing, ProfileOn, ProbeProto, Out);
-    mergeTrace(Config.Trace, 0, Out);
-    mergeProfile(Config.Profile, Out);
-    mergeProbes(ProbeSink, Out);
+      PerSMBlocks[0].push_back(B);
+  } else {
+    for (int SM = 0; SM < M.NumSMs; ++SM) {
+      std::vector<int> Mine;
+      for (int B = SM; B < NumBlocks; B += M.NumSMs)
+        Mine.push_back(B);
+      if (!Mine.empty())
+        PerSMBlocks.push_back(std::move(Mine));
+    }
+  }
+
+  SimStats Chip;
+  uint64_t SlowestSM = 0;
+  // Folds SM Idx into the launch; called in SM index order on every path.
+  // Writes and observations land before the failure check: when the
+  // serial path stops at SM k's trap, the writes and observations of SMs
+  // 0..k-1 and of SM k's partial wave are kept, and later SMs (which the
+  // serial path never ran) contribute nothing -- so memory, profile,
+  // trace and probes are bit-identical for every Jobs value.
+  auto Absorb = [&](size_t Idx, SMOutcome &Out) {
+    Out.Overlay.applyTo(Global);
+    Out.Obs.mergeInto(Sinks, static_cast<int>(Idx));
     if (Out.Failed) {
       if (TrapOut && Out.Trap.valid())
         *TrapOut = Out.Trap;
-      return ER::error(Out.Error);
+      return false;
     }
-    Result.Stats = Out.Stats;
-    Result.WavesSimulated = 1;
-    // The last wave may be partial; count it proportionally.
-    double FullWaves =
-        static_cast<double>(NumBlocks) / BlocksPerWaveChip;
-    Result.TotalCycles =
-        static_cast<double>(Out.Stats.Cycles) * std::max(1.0, FullWaves);
-    return Result;
-  }
-
-  // Full simulation: blocks are distributed round-robin over SMs; each SM
-  // runs its share in waves of Occ.ActiveBlocks. Chip time is the slowest
-  // SM.
-  std::vector<std::vector<int>> PerSMBlocks;
-  for (int SM = 0; SM < M.NumSMs; ++SM) {
-    std::vector<int> Mine;
-    for (int B = SM; B < NumBlocks; B += M.NumSMs)
-      Mine.push_back(B);
-    if (!Mine.empty())
-      PerSMBlocks.push_back(std::move(Mine));
-  }
+    Result.WavesSimulated += Out.Waves;
+    SlowestSM = std::max(SlowestSM, Out.Stats.Cycles);
+    Chip.addConcurrent(Out.Stats);
+    return true;
+  };
 
   const int Jobs = resolveJobs(Config.Jobs);
-  SimStats Chip;
-  uint64_t SlowestSM = 0;
-
   if (Jobs <= 1 || PerSMBlocks.size() <= 1) {
     // Serial path: SMs share the executor and write global memory
     // directly, one SM after the other.
     for (size_t Idx = 0; Idx < PerSMBlocks.size(); ++Idx) {
       SMOutcome Out;
       runSMWaves(M, K, Exec, Dims, PerSMBlocks[Idx], Occ.ActiveBlocks,
-                 Watchdog, TraceRing, ProfileOn, ProbeProto, Out);
-      // Merge the trace (and profile, and probes) before checking for
-      // failure: the serial path keeps whatever the trapping SM recorded
-      // up to the fault.
-      mergeTrace(Config.Trace, static_cast<int>(Idx), Out);
-      mergeProfile(Config.Profile, Out);
-      mergeProbes(ProbeSink, Out);
-      if (Out.Failed) {
-        if (TrapOut && Out.Trap.valid())
-          *TrapOut = Out.Trap;
+                 Watchdog, Sinks, Out);
+      if (!Absorb(Idx, Out))
         return ER::error(Out.Error);
-      }
-      Result.WavesSimulated += Out.Waves;
-      SlowestSM = std::max(SlowestSM, Out.Stats.Cycles);
-      Chip.addConcurrent(Out.Stats);
     }
   } else {
     // Parallel path: each SM simulates against a private write overlay,
-    // then the outcomes are merged in SM index order -- the order the
-    // serial loop would have produced its side effects in, so the merged
-    // memory image, statistics and any reported trap are bit-identical.
+    // then the outcomes are absorbed in SM index order -- the order the
+    // serial loop would have produced its side effects in.
     std::vector<SMOutcome> Outcomes(PerSMBlocks.size());
     parallelFor(Jobs, PerSMBlocks.size(), [&](size_t Idx) {
       SMOutcome &Out = Outcomes[Idx];
       Executor SMExec(M, GlobalMemoryView(Global, Out.Overlay),
                       Config.Params, Dims);
       runSMWaves(M, K, SMExec, Dims, PerSMBlocks[Idx], Occ.ActiveBlocks,
-                 Watchdog, TraceRing, ProfileOn, ProbeProto, Out);
+                 Watchdog, Sinks, Out);
     });
-    for (size_t Idx = 0; Idx < Outcomes.size(); ++Idx) {
-      SMOutcome &Out = Outcomes[Idx];
-      // Apply before checking for failure: when the serial path stops at
-      // SM k's trap, the writes of SMs 0..k-1 and SM k's partial wave
-      // are already in global memory; later SMs never ran, so their
-      // overlays are discarded by returning here. The trace and profile
-      // follow the same rule, so they too are bit-identical to the
-      // serial path.
-      Out.Overlay.applyTo(Global);
-      mergeTrace(Config.Trace, static_cast<int>(Idx), Out);
-      mergeProfile(Config.Profile, Out);
-      mergeProbes(ProbeSink, Out);
-      if (Out.Failed) {
-        if (TrapOut && Out.Trap.valid())
-          *TrapOut = Out.Trap;
-        return ER::error(Out.Error);
-      }
-      Result.WavesSimulated += Out.Waves;
-      SlowestSM = std::max(SlowestSM, Out.Stats.Cycles);
-      Chip.addConcurrent(Out.Stats);
-    }
+    for (size_t Idx = 0; Idx < Outcomes.size(); ++Idx)
+      if (!Absorb(Idx, Outcomes[Idx]))
+        return ER::error(Outcomes[Idx].Error);
   }
 
-  Chip.Cycles = SlowestSM;
+  Chip.Cycles = SlowestSM; // Chip time is the slowest SM.
   Result.Stats = Chip;
   Result.TotalCycles = static_cast<double>(SlowestSM);
+  // One-wave projection: the last wave may be partial; count it
+  // proportionally.
+  if (Config.Mode == SimMode::ProjectOneWave)
+    Result.TotalCycles *=
+        std::max(1.0, static_cast<double>(NumBlocks) / BlocksPerWaveChip);
   return Result;
 }

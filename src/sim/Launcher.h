@@ -57,27 +57,19 @@ struct LaunchConfig {
   /// Like the rest of the launch API this assumes the CUDA contract that
   /// blocks of one launch do not communicate through global memory.
   int Jobs = 1;
-  /// When non-null, the launch records a per-warp issue / per-scheduler
-  /// stall timeline into *Trace (ring-buffered per track, capacity
-  /// Trace->RingCapacity; see sim/Trace.h). Events are merged in SM
-  /// index order, so the trace -- like everything else -- is
-  /// bit-identical for every Jobs value. Null (the default) costs one
-  /// untaken branch per issue: tracing is zero-overhead when off.
+  /// The observers. When non-null, *Trace receives a per-warp issue /
+  /// per-scheduler stall timeline, ring-buffered per track (sim/Trace.h);
+  /// *Profile accumulates per-static-instruction counters satisfying
+  /// Profile->breakdown() == Result.Stats.Breakdown on success
+  /// (sim/Profile.h); *Probes evaluates its specs (probe/ProbeEngine.h).
+  /// Each SM feeds them through one SMObserver (sim/Observer.h), merged in
+  /// SM index order before the SM is checked for failure, so every output
+  /// is bit-identical for every Jobs value, traps included. With none set,
+  /// each event site costs one untaken branch. When Probes is null, a
+  /// process-wide engine installed via setProcessProbeEngine (BenchRun
+  /// --probe) is fed instead, on every return path including traps.
   SimTrace *Trace = nullptr;
-  /// When non-null, the launch accumulates per-static-instruction
-  /// counters into *Profile (issues, dual-issue pairs, replays, lost
-  /// slots by cause; see sim/Profile.h). Collected per SM and merged in
-  /// SM index order, so the profile is bit-identical for every Jobs
-  /// value, and satisfies Profile->breakdown() == Result.Stats.Breakdown
-  /// on success. Null (the default) is zero-overhead, like Trace.
   KernelProfile *Profile = nullptr;
-  /// When non-null, the launch evaluates *Probes' specs over its
-  /// simulation events (see probe/ProbeEngine.h). Each SM fires into a
-  /// private clone, merged in SM index order under mergeTrace's failure
-  /// rule, so probe results are bit-identical for every Jobs value. When
-  /// null, a process-wide engine installed via setProcessProbeEngine
-  /// (BenchRun --probe) is used instead -- partials merge into it when
-  /// the launch returns, on every path including traps.
   ProbeEngine *Probes = nullptr;
 };
 

@@ -26,10 +26,9 @@
 ///    the NoPC bucket so the accounting identity stays exact:
 ///      profile.breakdown() == SimStats.Breakdown,  cause by cause.
 ///
-/// Profiles are collected per SM and merged in SM index order, so -- like
-/// the stats, traces and memory image -- the result is bit-identical for
-/// every LaunchConfig::Jobs value. When no profile is requested the
-/// simulator's only cost is an untaken null-pointer branch per event.
+/// The simulator's issue, replay and lost-slot events reach the profile
+/// through the SM's observer (sim/Observer.h), which feeds the counting
+/// hooks below and merges per-SM profiles in SM index order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +104,7 @@ public:
   const PCCounters &noPC() const { return NoPC; }
 
   //===--------------------------------------------------------------------===//
-  // Simulator-side accounting hooks
+  // Counting hooks, fed by SMObserver
   //===--------------------------------------------------------------------===//
 
   /// One warp instruction issued at \p PC.

@@ -6,7 +6,6 @@
 
 #include "sim/SMSimulator.h"
 
-#include "probe/ProbeEngine.h"
 #include "sim/Timing.h"
 #include "support/Format.h"
 
@@ -58,10 +57,9 @@ class SMSim {
 public:
   SMSim(const MachineDesc &M, const Kernel &K, Executor &Exec,
         const LaunchDims &Dims, const std::vector<int> &BlockIds,
-        uint64_t WatchdogCycles, TraceRecorder *Trace,
-        KernelProfile *Profile, ProbeEngine *Probes)
-      : M(M), K(K), Exec(Exec), Dims(Dims), Trace(Trace), Profile(Profile),
-        Probes(Probes && Probes->enabled() ? Probes : nullptr),
+        uint64_t WatchdogCycles, SMObserver *Obs)
+      : M(M), K(K), Exec(Exec), Dims(Dims), Obs(Obs),
+        Wanted(Obs ? Obs->wanted() : 0),
         Budget(WatchdogCycles == 0
                    ? MaxWaveCycles
                    : std::min(WatchdogCycles, MaxWaveCycles)) {
@@ -109,15 +107,14 @@ public:
   }
 
 private:
+  bool wants(ProbeEvent E) const { return Wanted & SMObserver::bit(E); }
+
   Expected<SimStats> runLoop() {
     // Every block of the wave becomes resident at the wave's cycle 0.
-    if (Probes && Probes->wants(ProbeEvent::BlockScheduled))
-      for (const BlockState &B : Blocks) {
-        ProbeEventRecord R;
-        R.Block = B.BlockIdLinear;
-        R.Cycle = 0;
-        Probes->fire(ProbeEvent::BlockScheduled, R);
-      }
+    if (wants(ProbeEvent::BlockScheduled))
+      for (const BlockState &B : Blocks)
+        Obs->emit(ProbeEvent::BlockScheduled,
+                  {.Block = B.BlockIdLinear, .Cycle = 0});
     while (LiveWarps > 0) {
       if (Now >= Budget) {
         raiseWatchdogTrap();
@@ -172,17 +169,6 @@ private:
   /// blocked PC.
   void accountStall(int Sched, WarpBlock B, int PC, uint64_t Start,
                     uint64_t N) {
-    auto fireSlotLost = [&](SlotUse Cause, uint64_t Cycle,
-                            uint64_t Slots) {
-      if (!Probes || !Probes->wants(ProbeEvent::SlotLost))
-        return;
-      ProbeEventRecord R;
-      R.Cause = static_cast<int64_t>(Cause);
-      R.PC = PC;
-      R.Slots = static_cast<int64_t>(Slots);
-      R.Cycle = static_cast<int64_t>(Cycle);
-      Probes->fire(ProbeEvent::SlotLost, R);
-    };
     SlotUse Use = SlotUse::NoEligibleWarp;
     switch (B) {
     case WarpBlock::IssuePipe: {
@@ -190,25 +176,11 @@ private:
           std::min(N, static_cast<uint64_t>(ConflictDebt));
       if (FromConflict > 0) {
         ConflictDebt -= static_cast<double>(FromConflict);
-        Stats.Breakdown[SlotUse::RegBankConflict] += FromConflict;
-        if (Trace)
-          Trace->stall(Sched, Start, FromConflict,
-                       SlotUse::RegBankConflict);
-        if (Profile)
-          Profile->countStall(PC, SlotUse::RegBankConflict, FromConflict);
-        fireSlotLost(SlotUse::RegBankConflict, Start, FromConflict);
+        loseSlots(Sched, SlotUse::RegBankConflict, PC, Start, FromConflict);
       }
-      if (N > FromConflict) {
-        Stats.Breakdown[SlotUse::DispatchLimit] += N - FromConflict;
-        if (Trace)
-          Trace->stall(Sched, Start + FromConflict, N - FromConflict,
-                       SlotUse::DispatchLimit);
-        if (Profile)
-          Profile->countStall(PC, SlotUse::DispatchLimit,
-                              N - FromConflict);
-        fireSlotLost(SlotUse::DispatchLimit, Start + FromConflict,
-                     N - FromConflict);
-      }
+      if (N > FromConflict)
+        loseSlots(Sched, SlotUse::DispatchLimit, PC, Start + FromConflict,
+                  N - FromConflict);
       return;
     }
     case WarpBlock::Port:
@@ -229,12 +201,20 @@ private:
       Use = SlotUse::NoEligibleWarp;
       break;
     }
+    loseSlots(Sched, Use, PC, Start, N);
+  }
+
+  /// Counts \p N slots of scheduler \p Sched lost to \p Use from cycle
+  /// \p Start, attributed to \p PC, and emits them as one SlotLost event.
+  void loseSlots(int Sched, SlotUse Use, int PC, uint64_t Start,
+                 uint64_t N) {
     Stats.Breakdown[Use] += N;
-    if (Trace)
-      Trace->stall(Sched, Start, N, Use);
-    if (Profile)
-      Profile->countStall(PC, Use, N);
-    fireSlotLost(Use, Start, N);
+    if (wants(ProbeEvent::SlotLost))
+      Obs->emit(ProbeEvent::SlotLost, {.PC = PC,
+                                       .Cycle = static_cast<int64_t>(Start),
+                                       .Cause = static_cast<int64_t>(Use),
+                                       .Slots = static_cast<int64_t>(N),
+                                       .Sched = Sched});
   }
 
   /// Precomputes, per static instruction, whether every register and
@@ -445,16 +425,12 @@ private:
         IssuePipeFree = std::max(IssuePipeFree, static_cast<double>(Now)) +
                         0.5 * WarpSize / M.MathIssueSlotsPerCycle;
         ++Stats.ReplayPenalties;
-        if (Profile)
-          Profile->countReplay(W.PC);
-        if (Probes && Probes->wants(ProbeEvent::Replay)) {
-          ProbeEventRecord R;
-          R.PC = W.PC;
-          R.Block = Blocks[W.BlockSlot].BlockIdLinear;
-          R.Warp = W.WarpInBlock;
-          R.Cycle = static_cast<int64_t>(Now);
-          Probes->fire(ProbeEvent::Replay, R);
-        }
+        if (wants(ProbeEvent::Replay))
+          Obs->emit(ProbeEvent::Replay,
+                    {.PC = W.PC,
+                     .Block = Blocks[W.BlockSlot].BlockIdLinear,
+                     .Warp = W.WarpInBlock,
+                     .Cycle = static_cast<int64_t>(Now)});
       }
       return false;
     }
@@ -499,16 +475,14 @@ private:
                             implicitConflictAllowance(M, I));
       if (Fx.SharedSerialization > implicitConflictAllowance(M, I)) {
         ++Stats.SharedConflictEvents;
-        if (Probes && Probes->wants(ProbeEvent::BankConflict)) {
-          ProbeEventRecord R;
-          R.PC = PCAtIssue;
-          R.Block = B.BlockIdLinear;
-          R.Warp = W.WarpInBlock;
-          R.Cycle = static_cast<int64_t>(Now);
-          R.Serialization =
-              static_cast<int64_t>(Fx.SharedSerialization);
-          Probes->fire(ProbeEvent::BankConflict, R);
-        }
+        if (wants(ProbeEvent::BankConflict))
+          Obs->emit(ProbeEvent::BankConflict,
+                    {.PC = PCAtIssue,
+                     .Block = B.BlockIdLinear,
+                     .Warp = W.WarpInBlock,
+                     .Cycle = static_cast<int64_t>(Now),
+                     .Serialization =
+                         static_cast<int64_t>(Fx.SharedSerialization)});
       }
       LdstPipeFree = std::max(LdstPipeFree, NowD) + Ldst * Serial;
     }
@@ -575,62 +549,50 @@ private:
     uint64_t Lanes = std::popcount(W.ActiveMask);
     Stats.ThreadInstsIssued += Lanes;
     Stats.ThreadInstsByOpcode[static_cast<size_t>(I.Op)] += Lanes;
-    if (Trace)
-      Trace->issue(WarpIdx, B.BlockIdLinear, W.WarpInBlock, Now,
-                   PCAtIssue, I.Op);
-    if (Profile)
-      Profile->countIssue(PCAtIssue);
 
-    // --- Probe events --------------------------------------------------------
-    // Fired after the statistics updates so lifetime fields (Insts)
+    // --- Events --------------------------------------------------------------
+    // Emitted after the statistics updates so lifetime fields (Insts)
     // include this instruction; every count here shadows one of the
     // aggregates above, which the probe self-check tests pin exactly.
-    if (Probes) {
+    if (wants(ProbeEvent::InstIssued) || wants(ProbeEvent::MemAccess)) {
       const OpClass Class = opcodeInfo(I.Op).Class;
-      if (Probes->wants(ProbeEvent::InstIssued) ||
-          Probes->wants(ProbeEvent::MemAccess)) {
-        ProbeEventRecord R;
-        R.PC = PCAtIssue;
-        R.Op = static_cast<int64_t>(I.Op);
-        R.Class = static_cast<int64_t>(Class);
-        R.Lanes = static_cast<int64_t>(Lanes);
-        R.Block = B.BlockIdLinear;
-        R.Warp = W.WarpInBlock;
-        R.Cycle = static_cast<int64_t>(Now);
-        R.Dual = IssuingDualSecond ? 1 : 0;
-        if (Probes->wants(ProbeEvent::InstIssued))
-          Probes->fire(ProbeEvent::InstIssued, R);
-        bool IsShared = Class == OpClass::SharedMem;
-        bool IsGlobal = Class == OpClass::GlobalMem;
-        if ((IsShared || IsGlobal) &&
-            Probes->wants(ProbeEvent::MemAccess)) {
-          R.Space = IsGlobal ? 1 : 0;
-          R.Width = 8 * memWidthBytes(I.Width);
-          if (IsGlobal) {
-            R.Bytes = Fx.GlobalTransactions > 0 ? Fx.GlobalBytes : 0;
-            R.Transactions = Fx.GlobalTransactions;
-          } else {
-            R.Bytes = static_cast<int64_t>(Lanes) *
-                      memWidthBytes(I.Width);
-          }
-          Probes->fire(ProbeEvent::MemAccess, R);
+      ProbeEventRecord R;
+      R.PC = PCAtIssue;
+      R.Op = static_cast<int64_t>(I.Op);
+      R.Class = static_cast<int64_t>(Class);
+      R.Lanes = static_cast<int64_t>(Lanes);
+      R.Block = B.BlockIdLinear;
+      R.Warp = W.WarpInBlock;
+      R.Cycle = static_cast<int64_t>(Now);
+      R.Dual = IssuingDualSecond ? 1 : 0;
+      R.WarpSlot = WarpIdx;
+      R.Sched = Sched;
+      if (wants(ProbeEvent::InstIssued))
+        Obs->emit(ProbeEvent::InstIssued, R);
+      bool IsShared = Class == OpClass::SharedMem;
+      bool IsGlobal = Class == OpClass::GlobalMem;
+      if ((IsShared || IsGlobal) && wants(ProbeEvent::MemAccess)) {
+        R.Space = IsGlobal ? 1 : 0;
+        R.Width = 8 * memWidthBytes(I.Width);
+        if (IsGlobal) {
+          R.Bytes = Fx.GlobalTransactions > 0 ? Fx.GlobalBytes : 0;
+          R.Transactions = Fx.GlobalTransactions;
+        } else {
+          R.Bytes = static_cast<int64_t>(Lanes) * memWidthBytes(I.Width);
         }
-      }
-      if (WarpExited && Probes->wants(ProbeEvent::WarpExit)) {
-        ProbeEventRecord R;
-        R.Block = B.BlockIdLinear;
-        R.Warp = W.WarpInBlock;
-        R.Insts = static_cast<int64_t>(W.InstsIssued);
-        R.Cycle = static_cast<int64_t>(Now);
-        Probes->fire(ProbeEvent::WarpExit, R);
-      }
-      if (BlockDrained && Probes->wants(ProbeEvent::BlockDrained)) {
-        ProbeEventRecord R;
-        R.Block = B.BlockIdLinear;
-        R.Cycle = static_cast<int64_t>(Now);
-        Probes->fire(ProbeEvent::BlockDrained, R);
+        Obs->emit(ProbeEvent::MemAccess, R);
       }
     }
+    if (WarpExited && wants(ProbeEvent::WarpExit))
+      Obs->emit(ProbeEvent::WarpExit,
+                {.Block = B.BlockIdLinear,
+                 .Warp = W.WarpInBlock,
+                 .Cycle = static_cast<int64_t>(Now),
+                 .Insts = static_cast<int64_t>(W.InstsIssued)});
+    if (BlockDrained && wants(ProbeEvent::BlockDrained))
+      Obs->emit(ProbeEvent::BlockDrained,
+                {.Block = B.BlockIdLinear,
+                 .Cycle = static_cast<int64_t>(Now)});
   }
 
   void releaseBarrierIfComplete(BlockState &B) {
@@ -699,19 +661,10 @@ private:
         if (F.DualIssue && F.StallCycles == 0 && !W.Done &&
             !W.AtBarrier) {
           W.StallUntil = Now; // The pair issues in the same cycle.
-          int PCSecond = W.PC;
           IssuingDualSecond = true;
-          bool Issued =
-              tryIssue(WarpIdx, Sched, /*AllowReplayPenalty=*/false);
-          IssuingDualSecond = false;
-          if (Issued) {
+          if (tryIssue(WarpIdx, Sched, /*AllowReplayPenalty=*/false))
             ++Stats.DualIssues;
-            // tryIssue returns true without reaching issue() only when
-            // it trapped; on a clean true, PCSecond is the instruction
-            // that just issued as the pair's second half.
-            if (Profile && !Trap)
-              Profile->countDualIssue(PCSecond);
-          }
+          IssuingDualSecond = false;
           if (W.StallUntil <= Now)
             W.StallUntil = Now + 1;
         }
@@ -751,12 +704,12 @@ private:
   const Kernel &K;
   Executor &Exec;
   const LaunchDims &Dims;
-  TraceRecorder *Trace;
-  KernelProfile *Profile;
-  ProbeEngine *Probes;
+  SMObserver *Obs;
+  /// Obs->wanted(), or 0 without an observer: one test per event site.
+  const uint32_t Wanted;
   const uint64_t Budget;
   /// True while the dual-issue second half is in tryIssue/issue, so the
-  /// fired InstIssued event can carry Dual=1.
+  /// emitted InstIssued event carries Dual=1.
   bool IssuingDualSecond = false;
 
   std::vector<BlockState> Blocks;
@@ -801,12 +754,8 @@ std::set<std::string> MachineNames;
 Expected<SimStats> gpuperf::simulateWave(
     const MachineDesc &M, const Kernel &K, Executor &Exec,
     const LaunchDims &Dims, const std::vector<int> &BlockIds,
-    uint64_t WatchdogCycles, TrapInfo *TrapOut, TraceRecorder *Trace,
-    KernelProfile *Profile, ProbeEngine *Probes) {
-  if (Profile && Profile->codeSize() != K.Code.size())
-    Profile->reset(K.Code.size());
-  SMSim Sim(M, K, Exec, Dims, BlockIds, WatchdogCycles, Trace, Profile,
-            Probes);
+    uint64_t WatchdogCycles, TrapInfo *TrapOut, SMObserver *Observer) {
+  SMSim Sim(M, K, Exec, Dims, BlockIds, WatchdogCycles, Observer);
   Expected<SimStats> Result = Sim.run(TrapOut);
   if (Result.hasValue()) {
     SimulatedCycleTally.fetch_add(Result->Cycles,

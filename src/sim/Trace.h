@@ -6,17 +6,13 @@
 ///
 /// \file
 /// The tracing half of the observability layer: when a launch opts in
-/// (LaunchConfig::Trace), the SM simulator records one event per issued
-/// warp instruction and one event per contiguous lost-issue-slot span per
-/// scheduler, into fixed-capacity per-track ring buffers (old events are
-/// evicted, never reallocated mid-simulation). The launcher stitches the
-/// per-SM, per-wave buffers into one chip timeline -- in SM index order,
-/// so the trace is bit-identical for every LaunchConfig::Jobs value --
-/// and writeChromeTrace() renders it as Chrome trace_event JSON loadable
-/// in chrome://tracing or Perfetto.
-///
-/// When no trace is requested the simulator's only cost is one untaken
-/// null-pointer test per issue, so tracing is zero-overhead when off.
+/// (LaunchConfig::Trace), each SM's observer (sim/Observer.h) records one
+/// event per issued warp instruction and one per contiguous lost-slot
+/// span per scheduler, into fixed-capacity per-track ring buffers (old
+/// events are evicted, never reallocated mid-simulation), and merges its
+/// recorder into one chip timeline in SM index order. writeChromeTrace()
+/// renders it as Chrome trace_event JSON loadable in chrome://tracing or
+/// Perfetto.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,9 +56,9 @@ struct TraceEvent {
 /// realistic warp-slot track id in trace viewers.
 inline constexpr uint16_t SchedTrackBase = 1000;
 
-/// Collects the events of one SM across its waves. The simulator pushes
-/// raw events; the recorder owns the ring-buffer eviction policy and the
-/// coalescing of adjacent same-cause stall spans.
+/// Collects the events of one SM across its waves. The SM's observer
+/// pushes raw events; the recorder owns the ring-buffer eviction policy
+/// and the coalescing of adjacent same-cause stall spans.
 class TraceRecorder {
 public:
   /// \p RingCapacity caps the retained events per track (warp or

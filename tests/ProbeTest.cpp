@@ -430,6 +430,12 @@ struct ObserverCase {
   int Jobs;
 };
 
+void PrintTo(const ObserverCase &C, std::ostream *OS) {
+  *OS << C.M->Name
+      << (C.Mode == SimMode::Full ? " full, jobs " : " one wave, jobs ")
+      << C.Jobs;
+}
+
 /// What the observers of one launch collected.
 struct Observed {
   KernelProfile Profile;

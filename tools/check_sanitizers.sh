@@ -42,12 +42,12 @@ fi
 # needs its own build tree. Only the suites that spawn threads are run
 # -- the serial suites cannot race and TSan slows them ~10x. The
 # scheduler suite is threaded through its Jobs=2 padded-verify case, so
-# it rides along; the profile suite exercises the per-SM profile merge
-# under the parallel launcher; the journal and sweep-supervisor suites
+# it rides along; the profile, trace and probe suites exercise the one
+# per-SM observer merge (profile, trace and probe partials together)
+# under the parallel launcher, and the probe suite also the process-wide
+# engine behind its mutex; the journal and sweep-supervisor suites
 # cover the journaled PerfDatabase and the retrying sweep engine, whose
-# checkpoint appends and sleep hooks run on pool worker threads; the
-# probe suite merges per-SM probe clones under the parallel launcher
-# and the process-wide engine behind its mutex.
+# checkpoint appends and sleep hooks run on pool worker threads.
 TSAN_BUILD="$BUILD-tsan"
 cmake -S "$ROOT" -B "$TSAN_BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
