@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Shared bench plumbing: section headers, the common command line
-/// (--jobs/--json/--cache/--no-cache), machine-readable run metrics, and
-/// a parallel sweep helper. Every figure/table bench constructs one
-/// BenchRun so the whole suite speaks the same flags and
-/// tools/run_benches.sh can collect uniform JSON.
+/// (--jobs/--json/--cache/--no-cache/--schedule/--checkpoint/--resume/
+/// --probe), machine-readable run metrics, and the sweep helpers: a plain
+/// parallel runSweep, and BenchRun::sweep for the checkpointed sweeps
+/// whose failed points make the bench exit non-zero. Every figure/table
+/// bench constructs one BenchRun so the whole suite speaks the same
+/// flags and tools/run_benches.sh can collect uniform JSON.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,13 +71,6 @@ inline void benchPrint(const std::string &Text) {
 ///                main-loop ordering for the generated kernels the bench
 ///                measures: the fixed drip interleave (default) or the
 ///                kernelgen list scheduler
-///   --retries N  re-run a sweep point up to N extra times after a
-///                transient failure or timeout (default 0; deterministic
-///                failures are quarantined immediately, never retried)
-///   --point-timeout CYCLES
-///                per-sweep-point simulated-cycle deadline; a point that
-///                exceeds it is retried with the deadline doubled
-///                (0 = no deadline, the default)
 ///   --checkpoint PATH
 ///                journal completed sweep points to PATH as they finish;
 ///                adds a "sweeps" object to the --json record
@@ -128,22 +123,6 @@ public:
         }
         Schedule =
             *Choice == 0 ? SgemmSchedule::Drip : SgemmSchedule::List;
-      } else if (Arg == "--retries") {
-        auto N = parseInteger(needValue(), 0, 100);
-        if (!N) {
-          std::fprintf(stderr, "%s: --retries: %s\n", Name.c_str(),
-                       N.message().c_str());
-          std::exit(2);
-        }
-        Retries = static_cast<int>(*N);
-      } else if (Arg == "--point-timeout") {
-        auto N = parseInteger(needValue(), 0, INT64_MAX);
-        if (!N) {
-          std::fprintf(stderr, "%s: --point-timeout: %s\n", Name.c_str(),
-                       N.message().c_str());
-          std::exit(2);
-        }
-        PointTimeout = static_cast<uint64_t>(*N);
       } else if (Arg == "--checkpoint")
         CheckpointPath = needValue();
       else if (Arg == "--resume")
@@ -154,9 +133,8 @@ public:
         std::fprintf(stderr,
                      "%s: unknown option '%s'\n"
                      "usage: %s [--jobs N] [--json PATH] [--cache PATH] "
-                     "[--no-cache] [--schedule drip|list] [--retries N] "
-                     "[--point-timeout CYCLES] [--checkpoint PATH] "
-                     "[--resume] [--probe FILE]\n",
+                     "[--no-cache] [--schedule drip|list] "
+                     "[--checkpoint PATH] [--resume] [--probe FILE]\n",
                      Name.c_str(), Arg.c_str(), Name.c_str());
         std::exit(2);
       }
@@ -271,10 +249,7 @@ public:
       }
       W.endObject();
     }
-    bool AnyIncomplete = false;
-    for (const SweepReport &R : Sweeps)
-      AnyIncomplete |= !R.complete();
-    if (AnyIncomplete) {
+    if (exitStatus() != 0) {
       W.key("incomplete");
       W.beginArray();
       for (const SweepReport &R : Sweeps)
@@ -282,8 +257,6 @@ public:
           W.beginObject();
           W.kv("sweep", R.Name);
           W.kv("point", static_cast<uint64_t>(F.Point));
-          W.kv("result", taskOutcomeName(F.Result));
-          W.kv("attempts", F.Attempts);
           W.kv("reason", F.Reason);
           W.endObject();
         }
@@ -321,23 +294,20 @@ public:
   /// Bench name (for diagnostics).
   const std::string &name() const { return Name; }
 
-  /// Execution knobs for runSupervisedSweep, assembled from --jobs,
-  /// --retries, --point-timeout, and --checkpoint/--resume.
-  SweepOptions sweepOptions() {
-    SweepOptions O;
-    O.Jobs = Jobs;
-    O.Policy.MaxAttempts = Retries + 1;
-    O.Policy.DeadlineCycles = PointTimeout;
-    O.Checkpoint = Checkpoint.get();
-    return O;
-  }
-
-  /// Records \p R for the --json record ("sweeps"/"incomplete") and
-  /// reports anything noteworthy -- resumed points, failed points,
-  /// checkpoint append errors -- on stderr. Called by runSweepSupervised;
-  /// benches only call it directly when driving runSupervisedSweep
-  /// themselves.
-  void recordSweep(const SweepReport &R) {
+  /// Evaluates \p Point(0..N-1) across --jobs threads, serving and
+  /// recording points through the --checkpoint journal, and records the
+  /// sweep for the --json record ("sweeps"/"incomplete"). Returns
+  /// per-point rows; nullopt marks a failed point, which ran once, is
+  /// reported on stderr and in "incomplete", and makes exitStatus()
+  /// non-zero. Render only the completed rows, so stdout is unchanged
+  /// whenever nothing fails. \p SweepName must be unique within the
+  /// bench (one entry per machine, e.g. "fig4_gtx580"): it keys both
+  /// the checkpoint records and the JSON summary.
+  std::vector<std::optional<SweepRows>>
+  sweep(const std::string &SweepName, size_t N, const SweepPointFn &Point) {
+    SweepResult Result =
+        runCheckpointedSweep(Jobs, Checkpoint.get(), SweepName, N, Point);
+    const SweepReport &R = Result.Report;
     // Resume/failure counts go to stderr, never into the JSON record:
     // the record must be bit-identical between an uninterrupted run and
     // a kill+resume run, and Resumed differs between the two.
@@ -346,11 +316,9 @@ public:
                            "checkpoint\n",
                    Name.c_str(), R.Name.c_str(), R.Resumed, R.Points);
     for (const SweepPointFailure &F : R.Incomplete)
-      std::fprintf(stderr,
-                   "%s: sweep %s: point %zu %s after %d attempt%s: %s\n",
+      std::fprintf(stderr, "%s: sweep %s: point %zu failed: %s\n",
                    Name.c_str(), R.Name.c_str(), F.Point,
-                   taskOutcomeName(F.Result), F.Attempts,
-                   F.Attempts == 1 ? "" : "s", F.Reason.c_str());
+                   F.Reason.c_str());
     if (R.CheckpointErrors > 0)
       std::fprintf(stderr,
                    "%s: sweep %s: %zu checkpoint append failure%s "
@@ -358,7 +326,18 @@ public:
                    Name.c_str(), R.Name.c_str(), R.CheckpointErrors,
                    R.CheckpointErrors == 1 ? "" : "s",
                    R.FirstCheckpointError.c_str());
-    Sweeps.push_back(R);
+    Sweeps.push_back(std::move(Result.Report));
+    return std::move(Result.Rows);
+  }
+
+  /// The bench's exit status: 1 when any sweep point failed, else 0.
+  /// run_benches.sh then records the bench as failed, and --resume
+  /// re-runs only the points missing from the checkpoint.
+  int exitStatus() const {
+    for (const SweepReport &R : Sweeps)
+      if (!R.complete())
+        return 1;
+    return 0;
   }
 
 private:
@@ -369,8 +348,6 @@ private:
   std::string ProbePath;
   ProbeEngine Probes;
   int Jobs = 0; ///< 0 = one worker per hardware thread.
-  int Retries = 0;
-  uint64_t PointTimeout = 0;
   bool Resume = false;
   SgemmSchedule Schedule = SgemmSchedule::Drip;
   std::unique_ptr<SweepCheckpoint> Checkpoint;
@@ -420,23 +397,6 @@ auto runSweep(int Jobs, size_t N, Fn &&Point)
   std::vector<decltype(Point(size_t(0)))> Results(N);
   parallelFor(Jobs, N, [&](size_t I) { Results[I] = Point(I); });
   return Results;
-}
-
-/// The supervised counterpart: evaluates \p Point under \p Run's
-/// --retries/--point-timeout policy with --checkpoint/--resume support,
-/// and records the sweep report for the --json record. Returns per-point
-/// rows; nullopt marks a point the supervisor could not complete (listed
-/// in "incomplete" and on stderr -- render only the completed rows, so
-/// stdout is unchanged whenever nothing fails). \p Name must be unique
-/// within the bench (one entry per machine, e.g. "fig4_gtx580"): it keys
-/// both the checkpoint records and the JSON summary. With every point
-/// healthy and no checkpoint, output is bit-identical to runSweep.
-inline std::vector<std::optional<std::vector<std::string>>>
-runSweepSupervised(BenchRun &Run, const std::string &Name, size_t N,
-                   const SweepPointFn &Point) {
-  SweepResult R = runSupervisedSweep(Run.sweepOptions(), Name, N, Point);
-  Run.recordSweep(R.Report);
-  return std::move(R.Rows);
 }
 
 } // namespace gpuperf

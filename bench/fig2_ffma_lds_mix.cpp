@@ -22,10 +22,10 @@ static void sweep(BenchRun &Run, const MachineDesc &M) {
                                    10, 12, 16, 20, 24, 28, 32};
   // One sweep point per ratio; the three widths inside a point share its
   // thread. Rows come back in ratio order whatever the job count.
-  auto Rows = runSweepSupervised(
-      Run, formatString("fig2_%s", M.Name.c_str()), Ratios.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
-        std::vector<std::string> Row = {formatString("%d", Ratios[I])};
+  auto Rows = Run.sweep(
+      formatString("fig2_%s", M.Name.c_str()), Ratios.size(),
+      [&](size_t I) -> Expected<SweepRows> {
+        SweepRows Row = {formatString("%d", Ratios[I])};
         for (MemWidth W :
              {MemWidth::B32, MemWidth::B64, MemWidth::B128}) {
           MixBenchParams P;
@@ -35,7 +35,7 @@ static void sweep(BenchRun &Run, const MachineDesc &M) {
           Row.push_back(
               formatDouble(DB.measureKernel(K, MeasureConfig()), 1));
         }
-        return SweepPointAttempt::ok(std::move(Row));
+        return Row;
       });
   Table T;
   T.setHeader({"FFMA/LDS ratio", "LDS", "LDS.64", "LDS.128"});
@@ -62,5 +62,5 @@ int main(int Argc, char **Argv) {
   BenchRun Run("fig2_ffma_lds_mix", Argc, Argv);
   sweep(Run, gtx580());
   sweep(Run, gtx680());
-  return 0;
+  return Run.exitStatus();
 }

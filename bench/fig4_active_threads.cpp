@@ -18,16 +18,15 @@ static void sweep(BenchRun &Run, const MachineDesc &M,
       "Figure 4 (%s): FFMA/LDS.64 6:1 mix vs active threads per SM",
       M.Name.c_str()));
   PerfDatabase DB = Run.makeDatabase(M);
-  auto Rows = runSweepSupervised(
-      Run, formatString("fig4_%s", M.Name.c_str()), Threads.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+  auto Rows = Run.sweep(
+      formatString("fig4_%s", M.Name.c_str()), Threads.size(),
+      [&](size_t I) -> Expected<SweepRows> {
         int N = Threads[I];
-        return SweepPointAttempt::ok(
-            {formatString("%d", N),
-             formatDouble(DB.mixThroughput(6, MemWidth::B64, true, N),
-                          1),
-             formatDouble(DB.mixThroughput(6, MemWidth::B64, false, N),
-                          1)});
+        return SweepRows{
+            formatString("%d", N),
+            formatDouble(DB.mixThroughput(6, MemWidth::B64, true, N), 1),
+            formatDouble(DB.mixThroughput(6, MemWidth::B64, false, N),
+                         1)};
       });
   Table T;
   T.setHeader({"active threads", "dependent", "independent"});
@@ -42,5 +41,5 @@ int main(int Argc, char **Argv) {
   BenchRun Run("fig4_active_threads", Argc, Argv);
   sweep(Run, gtx580(), {32, 64, 128, 192, 256, 384, 512, 768, 1024});
   sweep(Run, gtx680(), {32, 64, 128, 256, 512, 768, 1024, 1536, 2048});
-  return 0;
+  return Run.exitStatus();
 }

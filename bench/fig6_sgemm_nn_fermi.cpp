@@ -19,25 +19,22 @@ int main(int Argc, char **Argv) {
   const MachineDesc &M = gtx580();
   const std::vector<int> Sizes = {480,  960,  1440, 1920, 2400,
                                   2880, 3360, 3840, 4320, 4800};
-  auto Rows = runSweepSupervised(
-      Run, "fig6", Sizes.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+  auto Rows = Run.sweep(
+      "fig6", Sizes.size(), [&](size_t I) -> Expected<SweepRows> {
         SgemmProblem P;
         P.M = P.N = P.K = Sizes[I];
         SgemmRunOptions O;
         O.Mode = SimMode::ProjectOneWave;
-        std::vector<std::string> Row = {formatString("%d", Sizes[I])};
+        SweepRows Row = {formatString("%d", Sizes[I])};
         for (SgemmImpl Impl : {SgemmImpl::AsmTuned,
                                SgemmImpl::CublasLike,
                                SgemmImpl::MagmaLike}) {
           auto R = runSgemm(M, Impl, P, O);
-          // A failed run is deterministic (the simulator is), so let
-          // the supervisor quarantine the point rather than retry it.
           if (!R)
-            return SweepPointAttempt::fatal(R.message());
+            return R.takeStatus();
           Row.push_back(formatDouble(R->Gflops, 0));
         }
-        return SweepPointAttempt::ok(std::move(Row));
+        return Row;
       });
   Table T;
   T.setHeader({"size", "assembly", "cublas-like", "magma-like"});
@@ -49,5 +46,5 @@ int main(int Argc, char **Argv) {
       "\nTheoretical peak %.0f GFLOPS; paper: assembly ~74%%, ~5%% above "
       "CUBLAS 4.1 for large sizes.\n",
       M.theoreticalPeakGflops()));
-  return 0;
+  return Run.exitStatus();
 }

@@ -27,16 +27,14 @@ int main(int Argc, char **Argv) {
   Cfg.BlocksPerSM = 1;
 
   const std::vector<Table2Row> Patterns = table2Patterns();
-  auto Rows = runSweepSupervised(
-      Run, "table2", Patterns.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+  auto Rows = Run.sweep(
+      "table2", Patterns.size(), [&](size_t I) -> Expected<SweepRows> {
         const Table2Row &Row = Patterns[I];
         Kernel K = generateOpPatternBench(M, Row.Pattern);
         double Measured = DB.measureKernel(K, Cfg);
-        return SweepPointAttempt::ok(
-            {Row.Syntax, formatDouble(Row.PaperThroughput, 1),
-             formatDouble(Measured, 1),
-             formatDouble(Measured / Row.PaperThroughput, 3)});
+        return SweepRows{Row.Syntax, formatDouble(Row.PaperThroughput, 1),
+                         formatDouble(Measured, 1),
+                         formatDouble(Measured / Row.PaperThroughput, 3)};
       });
   Table T;
   T.setHeader({"pattern", "paper", "measured", "ratio"});
@@ -61,5 +59,5 @@ int main(int Argc, char **Argv) {
   SimStats S;
   measureThroughput(M, Conflicted, Cfg, &S);
   benchIssueSlotReport(M, S);
-  return 0;
+  return Run.exitStatus();
 }

@@ -8,6 +8,7 @@
 
 #include "support/Crc32.h"
 #include "support/FileIO.h"
+#include "support/Fnv1a.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -282,12 +283,8 @@ uint64_t PerfDatabase::kernelHash(const Kernel &K, GpuGeneration Arch) {
   Module Mod;
   Mod.Arch = Arch;
   Mod.Kernels.push_back(K);
-  uint64_t Hash = 0xcbf29ce484222325ull;
-  for (uint8_t B : Mod.serialize()) {
-    Hash ^= B;
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
+  std::vector<uint8_t> Bytes = Mod.serialize();
+  return fnv1a(Fnv1aBasis, Bytes.data(), Bytes.size());
 }
 
 std::string PerfDatabase::defaultCachePath() {

@@ -11,9 +11,10 @@
 /// rows. A killed sweep restarted with --resume replays the file
 /// (truncating at the first torn frame, same recovery stance as the
 /// PerfDatabase journal), serves the recorded rows for completed points
-/// without re-running them, and re-runs only what is missing -- so a
-/// resumed sweep's output is bit-identical to an uninterrupted one and
-/// no completed point is ever executed twice.
+/// without re-running them, and re-runs only what is missing (points
+/// that never ran, and points that failed, which are never recorded) --
+/// so a resumed sweep's output is bit-identical to an uninterrupted one
+/// and no completed point is ever executed twice.
 ///
 /// File layout (all integers little-endian):
 ///   "GPCK" | u32 version

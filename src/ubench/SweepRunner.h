@@ -1,26 +1,24 @@
-//===- ubench/SweepRunner.h - supervised, resumable sweeps ------*- C++ -*-===//
+//===- ubench/SweepRunner.h - checkpointed, resumable sweeps ----*- C++ -*-===//
 //
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The crash-safe sweep engine: evaluates N independent sweep points
-/// across a thread pool with per-point supervision (bounded retries,
-/// deadline escalation, quarantine -- support/Supervisor.h) and optional
-/// checkpoint/resume (ubench/SweepCheckpoint.h). A sweep never aborts on
-/// a hostile point: it completes with the failing points listed in an
-/// explicit incomplete set, and every completed point's rows are
-/// bit-identical to what an unsupervised runSweep would have produced
-/// (pinned by sweep_supervisor_test). bench/BenchUtil.h wraps this for
-/// the figure/table benches; the atlas service builds on it directly.
+/// The sweep engine: evaluates N independent sweep points across a
+/// thread pool with optional checkpoint/resume (ubench/SweepCheckpoint.h).
+/// Each point runs once. The simulator is deterministic, so a failed
+/// point would fail identically on a re-run: it is listed in the
+/// report's incomplete set instead, and every completed point's rows
+/// are unaffected by it (pinned by sweep_test). bench/BenchUtil.h wraps
+/// this for the figure/table benches.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUPERF_UBENCH_SWEEPRUNNER_H
 #define GPUPERF_UBENCH_SWEEPRUNNER_H
 
-#include "support/Supervisor.h"
+#include "support/Error.h"
 #include "ubench/SweepCheckpoint.h"
 
 #include <functional>
@@ -28,38 +26,16 @@
 
 namespace gpuperf {
 
-/// What one attempt at one sweep point reports: a result (the rendered
-/// rows for that point) or a classified failure the supervisor reacts
-/// to (see AttemptResult for the retry semantics of each kind).
-struct SweepPointAttempt {
-  AttemptResult Result;
-  std::vector<std::string> Rows; ///< Valid when Result is Ok.
-
-  static SweepPointAttempt ok(std::vector<std::string> Rows) {
-    SweepPointAttempt A;
-    A.Rows = std::move(Rows);
-    return A;
-  }
-  static SweepPointAttempt transient(std::string Why) {
-    return {AttemptResult::transient(std::move(Why)), {}};
-  }
-  static SweepPointAttempt timeout(std::string Why) {
-    return {AttemptResult::timeout(std::move(Why)), {}};
-  }
-  static SweepPointAttempt fatal(std::string Why) {
-    return {AttemptResult::fatal(std::move(Why)), {}};
-  }
-};
+/// The rendered result rows of one sweep point.
+using SweepRows = std::vector<std::string>;
 
 /// One point the sweep could not complete.
 struct SweepPointFailure {
   size_t Point = 0;
-  TaskOutcome::State Result = TaskOutcome::State::Failed;
-  int Attempts = 0;
   std::string Reason;
 };
 
-/// Summary of one supervised sweep, emitted into bench --json records.
+/// Summary of one sweep, emitted into bench --json records.
 struct SweepReport {
   std::string Name;
   size_t Points = 0;
@@ -76,32 +52,26 @@ struct SweepReport {
   bool complete() const { return Incomplete.empty(); }
 };
 
-/// Execution knobs for one supervised sweep.
-struct SweepOptions {
-  int Jobs = 0;                          ///< As runSweep/parallelFor.
-  SupervisorPolicy Policy;               ///< Retry/deadline policy.
-  SweepCheckpoint *Checkpoint = nullptr; ///< Optional resume journal.
-};
-
 /// Everything a sweep produced: per-point rows (nullopt = incomplete)
 /// plus the report.
 struct SweepResult {
-  std::vector<std::optional<std::vector<std::string>>> Rows;
+  std::vector<std::optional<SweepRows>> Rows;
   SweepReport Report;
 };
 
-/// Point evaluator: index + supervised attempt context (attempt number,
-/// escalated deadline). Must be safe to call concurrently.
-using SweepPointFn =
-    std::function<SweepPointAttempt(size_t, const Supervisor::Attempt &)>;
+/// Point evaluator: the point's rows, or why it failed. Must be safe to
+/// call concurrently.
+using SweepPointFn = std::function<Expected<SweepRows>(size_t)>;
 
-/// Evaluates \p Point(0..N-1) under \p O. Completed points are recorded
-/// in the checkpoint (when given) the moment they finish; checkpointed
-/// points are served without re-running. Results are indexed by point
-/// and identical for every Jobs value.
-SweepResult runSupervisedSweep(const SweepOptions &O,
-                               const std::string &Name, size_t N,
-                               const SweepPointFn &Point);
+/// Evaluates \p Point(0..N-1) across up to \p Jobs threads (as
+/// parallelFor). With a \p Checkpoint, points already recorded there
+/// are served without re-running, and each completed point is recorded
+/// the moment it finishes; failed points are not recorded, so a resume
+/// re-runs exactly them. Results are indexed by point and identical for
+/// every Jobs value.
+SweepResult runCheckpointedSweep(int Jobs, SweepCheckpoint *Checkpoint,
+                                 const std::string &Name, size_t N,
+                                 const SweepPointFn &Point);
 
 } // namespace gpuperf
 

@@ -6,6 +6,7 @@
 
 #include "support/Args.h"
 #include "support/Error.h"
+#include "support/Fnv1a.h"
 #include "support/Format.h"
 #include "support/Json.h"
 #include "support/MathUtils.h"
@@ -107,6 +108,14 @@ TEST(Error, ExpectedMapMoveOnlyPayload) {
                .map([](int V) { return std::make_unique<int>(V); })
                .take();
   EXPECT_EQ(*P, 3);
+}
+
+TEST(Fnv1a, KnownAnswers) {
+  EXPECT_EQ(fnv1a(Fnv1aBasis, "", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a(Fnv1aBasis, "a", 1), 0xaf63dc4c8601ec8cull);
+  // Integers hash least significant byte first: "\xef\xbe\xad\xde".
+  EXPECT_EQ(fnv1aLittleEndian(Fnv1aBasis, uint32_t(0xdeadbeef)),
+            0xa44e2de07150f42bull);
 }
 
 TEST(MathUtils, DivideCeil) {

@@ -45,9 +45,9 @@ fi
 # it rides along; the profile, trace and probe suites exercise the one
 # per-SM observer merge (profile, trace and probe partials together)
 # under the parallel launcher, and the probe suite also the process-wide
-# engine behind its mutex; the journal and sweep-supervisor suites
-# cover the journaled PerfDatabase and the retrying sweep engine, whose
-# checkpoint appends and sleep hooks run on pool worker threads.
+# engine behind its mutex; the journal and sweep suites cover the
+# journaled PerfDatabase and the checkpointed sweep engine, whose
+# checkpoint appends run on pool worker threads.
 TSAN_BUILD="$BUILD-tsan"
 cmake -S "$ROOT" -B "$TSAN_BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -56,4 +56,4 @@ cmake --build "$TSAN_BUILD" -j"$(nproc)"
 
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R '(support|parallel_sim|perf_cache|perf_journal|sweep_supervisor|stats|scheduler|profile|probe)_test|trace_smoke' "$@"
+    -R '(support|parallel_sim|perf_cache|perf_journal|sweep|stats|scheduler|profile|probe)_test|trace_smoke' "$@"
