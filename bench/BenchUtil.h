@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -198,9 +199,15 @@ public:
     W.kv("schema_version", MetricsSchemaVersion);
     W.kv("record", "bench");
     W.kv("bench", Name);
+    // A sweep's machine counts even when its every point was served from
+    // the checkpoint, so a resumed run names the machines of the
+    // uninterrupted one.
+    std::set<std::string> Machines = SweepMachines;
+    for (const std::string &MachineName : simulatedMachineNames())
+      Machines.insert(MachineName);
     W.key("machines");
     W.beginArray();
-    for (const std::string &MachineName : simulatedMachineNames())
+    for (const std::string &MachineName : Machines)
       W.value(MachineName);
     W.endArray();
     W.kv("schedule",
@@ -296,7 +303,8 @@ public:
 
   /// Evaluates \p Point(0..N-1) across --jobs threads, serving and
   /// recording points through the --checkpoint journal, and records the
-  /// sweep for the --json record ("sweeps"/"incomplete"). Returns
+  /// sweep for the --json record ("sweeps"/"incomplete"; its machine
+  /// \p M joins "machines" whether or not any point ran). Returns
   /// per-point rows; nullopt marks a failed point, which ran once, is
   /// reported on stderr and in "incomplete", and makes exitStatus()
   /// non-zero. Render only the completed rows, so stdout is unchanged
@@ -304,7 +312,9 @@ public:
   /// bench (one entry per machine, e.g. "fig4_gtx580"): it keys both
   /// the checkpoint records and the JSON summary.
   std::vector<std::optional<SweepRows>>
-  sweep(const std::string &SweepName, size_t N, const SweepPointFn &Point) {
+  sweep(const MachineDesc &M, const std::string &SweepName, size_t N,
+        const SweepPointFn &Point) {
+    SweepMachines.insert(M.Name);
     SweepResult Result =
         runCheckpointedSweep(Jobs, Checkpoint.get(), SweepName, N, Point);
     const SweepReport &R = Result.Report;
@@ -352,6 +362,8 @@ private:
   SgemmSchedule Schedule = SgemmSchedule::Drip;
   std::unique_ptr<SweepCheckpoint> Checkpoint;
   std::vector<SweepReport> Sweeps;
+  /// Machines of every sweep run so far (see sweep()).
+  std::set<std::string> SweepMachines;
   std::chrono::steady_clock::time_point Start;
   uint64_t StartCycles;
   StallBreakdown StartBreakdown;

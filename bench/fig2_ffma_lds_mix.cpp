@@ -23,7 +23,7 @@ static void sweep(BenchRun &Run, const MachineDesc &M) {
   // One sweep point per ratio; the three widths inside a point share its
   // thread. Rows come back in ratio order whatever the job count.
   auto Rows = Run.sweep(
-      formatString("fig2_%s", M.Name.c_str()), Ratios.size(),
+      M, formatString("fig2_%s", M.Name.c_str()), Ratios.size(),
       [&](size_t I) -> Expected<SweepRows> {
         SweepRows Row = {formatString("%d", Ratios[I])};
         for (MemWidth W :

@@ -19,7 +19,7 @@ static void sweep(BenchRun &Run, const MachineDesc &M,
       M.Name.c_str()));
   PerfDatabase DB = Run.makeDatabase(M);
   auto Rows = Run.sweep(
-      formatString("fig4_%s", M.Name.c_str()), Threads.size(),
+      M, formatString("fig4_%s", M.Name.c_str()), Threads.size(),
       [&](size_t I) -> Expected<SweepRows> {
         int N = Threads[I];
         return SweepRows{

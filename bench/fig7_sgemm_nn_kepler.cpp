@@ -20,7 +20,7 @@ int main(int Argc, char **Argv) {
   const std::vector<int> Sizes = {480,  960,  1440, 1920, 2400,
                                   2880, 3360, 3840, 4320, 4800};
   auto Rows = Run.sweep(
-      "fig7", Sizes.size(), [&](size_t I) -> Expected<SweepRows> {
+      M, "fig7", Sizes.size(), [&](size_t I) -> Expected<SweepRows> {
         SgemmProblem P;
         P.M = P.N = P.K = Sizes[I];
         SgemmRunOptions O;

@@ -28,7 +28,7 @@ int main(int Argc, char **Argv) {
 
   const std::vector<Table2Row> Patterns = table2Patterns();
   auto Rows = Run.sweep(
-      "table2", Patterns.size(), [&](size_t I) -> Expected<SweepRows> {
+      M, "table2", Patterns.size(), [&](size_t I) -> Expected<SweepRows> {
         const Table2Row &Row = Patterns[I];
         Kernel K = generateOpPatternBench(M, Row.Pattern);
         double Measured = DB.measureKernel(K, Cfg);

@@ -113,9 +113,6 @@ RegList Instruction::destRegs() const {
 }
 
 int Instruction::numSourceSlots() const {
-  int Slots = opcodeInfo(Op).NumSrcRegs;
-  if (immReplacesSrc1())
-    --Slots;
   // Count only slots holding a real register.
   int N = 0;
   bool ImmSlot1 = immReplacesSrc1();
@@ -125,7 +122,6 @@ int Instruction::numSourceSlots() const {
     if (Src[I] != RegRZ)
       ++N;
   }
-  (void)Slots;
   return N;
 }
 

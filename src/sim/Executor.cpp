@@ -9,6 +9,8 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -37,34 +39,63 @@ uint32_t floatResultBits(float F) {
   return std::isnan(F) ? 0x7fffffffu : asBits(F);
 }
 
-/// Computes the shared-memory serialization multiplier for a warp access.
+/// Bounds of the LD/ST path's stack buffers. Accesses are at most 128
+/// bits wide and banks at least 4 bytes, so one lane touches at most 4
+/// consecutive bank words -- at most one word in any bank -- and at most
+/// two 128-byte segments.
+constexpr int MaxAccessBytes = 16;
+constexpr int MaxSharedBanks = 32;
+constexpr int MaxSegments = 2 * WarpSize;
+
+/// Computes the shared-memory serialization multiplier for a warp access
+/// to the \p NumAddrs byte addresses in \p Addrs.
 ///
 /// Banks are NumBanks words of BankBytes; lanes touching distinct words in
 /// the same bank serialize, while lanes reading the same word broadcast.
 /// The multiplier is normalized by the *inherent* degree of a perfectly
 /// sequential access of this width (e.g. LDS.64 on Fermi inherently takes
 /// two passes, which the base pipe cost already covers).
-double sharedSerialization(const std::vector<int64_t> &Addrs, int Width,
+double sharedSerialization(const int64_t *Addrs, int NumAddrs, int Width,
                            int NumBanks, int BankBytes) {
-  if (Addrs.empty())
+  assert(Width <= MaxAccessBytes && BankBytes >= 4 &&
+         NumBanks >= MaxAccessBytes / 4 && NumBanks <= MaxSharedBanks &&
+         "stack buffer bounds");
+  if (NumAddrs == 0)
     return 1.0;
-  // Collect distinct words per bank.
-  std::vector<std::vector<int64_t>> Words(NumBanks);
-  for (int64_t Addr : Addrs) {
+  // Distinct words per bank; the worst bank's count is the degree.
+  int64_t Words[MaxSharedBanks][WarpSize];
+  int Count[MaxSharedBanks] = {};
+  int Degree = 0;
+  for (int A = 0; A < NumAddrs; ++A) {
     for (int Offset = 0; Offset < Width; Offset += BankBytes) {
-      int64_t Word = (Addr + Offset) / BankBytes;
+      int64_t Word = (Addrs[A] + Offset) / BankBytes;
       int Bank = static_cast<int>(Word % NumBanks);
-      auto &List = Words[Bank];
-      if (std::find(List.begin(), List.end(), Word) == List.end())
-        List.push_back(Word);
+      int64_t *List = Words[Bank];
+      if (std::find(List, List + Count[Bank], Word) != List + Count[Bank])
+        continue;
+      List[Count[Bank]++] = Word;
+      Degree = std::max(Degree, Count[Bank]);
     }
   }
-  size_t Degree = 0;
-  for (const auto &List : Words)
-    Degree = std::max(Degree, List.size());
-  int Ideal = std::max(
-      1, static_cast<int>(Addrs.size()) * Width / BankBytes / NumBanks);
+  int Ideal = std::max(1, NumAddrs * Width / BankBytes / NumBanks);
   return std::max(1.0, static_cast<double>(Degree) / Ideal);
+}
+
+/// Number of distinct 128-byte segments the \p NumAddrs accesses of
+/// \p Width bytes at \p Addrs touch: the coalesced transaction count.
+int globalSegments(const int64_t *Addrs, int NumAddrs, int Width) {
+  assert(Width <= MaxAccessBytes && "stack buffer bound");
+  int64_t Segments[MaxSegments];
+  int NumSegments = 0;
+  for (int A = 0; A < NumAddrs; ++A) {
+    int64_t First = Addrs[A] / 128;
+    int64_t Last = (Addrs[A] + Width - 1) / 128;
+    for (int64_t S = First; S <= Last; ++S)
+      if (std::find(Segments, Segments + NumSegments, S) ==
+          Segments + NumSegments)
+        Segments[NumSegments++] = S;
+  }
+  return NumSegments;
 }
 
 } // namespace
@@ -73,13 +104,11 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
                               int BlockIdxLinear,
                               SharedMemory &Shared) const {
   ExecEffects Fx;
-  const int Threads = Dims.threadsPerBlock();
   const int CtaX = BlockIdxLinear % Dims.GridX;
   const int CtaY = BlockIdxLinear / Dims.GridX;
+  // Lanes that hold a thread and pass the guard predicate.
+  const uint32_t Lanes = W.ActiveMask & W.guardMask(I);
 
-  auto LaneActive = [&](int Lane) {
-    return ((W.ActiveMask >> Lane) & 1) && W.guardTrue(I, Lane);
-  };
   auto LinearTid = [&](int Lane) { return W.WarpInBlock * WarpSize + Lane; };
 
   switch (I.Op) {
@@ -94,21 +123,16 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
   case Opcode::BRA: {
     // Require warp-uniform branching (the paper's kernels are uniform;
     // per-lane work is predicated instead).
-    int Taken = -1;
-    for (int Lane = 0; Lane < WarpSize; ++Lane) {
-      if (!((W.ActiveMask >> Lane) & 1))
-        continue;
-      int LaneTaken = W.guardTrue(I, Lane) ? 1 : 0;
-      if (Taken < 0)
-        Taken = LaneTaken;
-      else if (Taken != LaneTaken) {
-        Fx.Trap = TrapKind::DivergentBranch;
-        Fx.TrapLane = Lane;
-        Fx.TrapDetail = "divergent branch is not supported by the simulator";
-        return Fx;
-      }
+    if (Lanes != 0 && Lanes != W.ActiveMask) {
+      // Report the first active lane that disagrees with the lowest one.
+      bool LowestTaken = Lanes & (W.ActiveMask & -W.ActiveMask);
+      uint32_t Disagree = LowestTaken ? W.ActiveMask & ~Lanes : Lanes;
+      Fx.Trap = TrapKind::DivergentBranch;
+      Fx.TrapLane = std::countr_zero(Disagree);
+      Fx.TrapDetail = "divergent branch is not supported by the simulator";
+      return Fx;
     }
-    Fx.BranchTaken = Taken == 1;
+    Fx.BranchTaken = Lanes != 0;
     return Fx;
   }
   default:
@@ -118,15 +142,14 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
   // Per-lane execution for everything else.
   const OpClass Class = opcodeInfo(I.Op).Class;
   if (Class == OpClass::SharedMem || Class == OpClass::GlobalMem) {
-    std::vector<int64_t> Addrs;
-    Addrs.reserve(WarpSize);
+    int64_t Addrs[WarpSize];
+    int NumAddrs = 0;
     const int Width = memWidthBytes(I.Width);
     const int Words = memWidthRegs(I.Width);
     const bool IsLoad = I.Op == Opcode::LDS || I.Op == Opcode::LD;
     const bool IsShared = Class == OpClass::SharedMem;
-    for (int Lane = 0; Lane < WarpSize; ++Lane) {
-      if (!LaneActive(Lane))
-        continue;
+    for (uint32_t Live = Lanes; Live; Live &= Live - 1) {
+      const int Lane = std::countr_zero(Live);
       int64_t Addr =
           static_cast<int64_t>(W.readReg(I.Src[0], Lane)) + I.Imm;
       if (Addr % Width != 0) {
@@ -155,7 +178,7 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
             IsShared ? "shared" : "global");
         return Fx;
       }
-      Addrs.push_back(Addr);
+      Addrs[NumAddrs++] = Addr;
       for (int Word = 0; Word < Words; ++Word) {
         int64_t A = Addr + 4 * Word;
         if (IsLoad) {
@@ -173,28 +196,18 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
       }
     }
     if (IsShared) {
-      Fx.SharedSerialization = sharedSerialization(
-          Addrs, Width, M.SharedMemBanks, M.SharedMemBankBytes);
+      Fx.SharedSerialization =
+          sharedSerialization(Addrs, NumAddrs, Width, M.SharedMemBanks,
+                              M.SharedMemBankBytes);
     } else {
-      // Coalescing: distinct 128-byte segments touched by the warp.
-      std::vector<int64_t> Segments;
-      for (int64_t Addr : Addrs) {
-        int64_t First = Addr / 128;
-        int64_t Last = (Addr + Width - 1) / 128;
-        for (int64_t S = First; S <= Last; ++S)
-          if (std::find(Segments.begin(), Segments.end(), S) ==
-              Segments.end())
-            Segments.push_back(S);
-      }
-      Fx.GlobalTransactions = static_cast<int>(Segments.size());
-      Fx.GlobalBytes = static_cast<int>(Segments.size()) * 128;
+      Fx.GlobalTransactions = globalSegments(Addrs, NumAddrs, Width);
+      Fx.GlobalBytes = Fx.GlobalTransactions * 128;
     }
     return Fx;
   }
 
-  for (int Lane = 0; Lane < WarpSize; ++Lane) {
-    if (!LaneActive(Lane))
-      continue;
+  for (uint32_t Live = Lanes; Live; Live &= Live - 1) {
+    const int Lane = std::countr_zero(Live);
     uint32_t A = W.readReg(I.Src[0], Lane);
     uint32_t B = I.immReplacesSrc1() ? static_cast<uint32_t>(I.Imm)
                                      : W.readReg(I.Src[1], Lane);
@@ -323,7 +336,6 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
       return Fx;
     }
     W.writeReg(I.Dst, Lane, Result);
-    (void)Threads;
   }
   return Fx;
 }

@@ -32,7 +32,8 @@ struct SMOutcome {
 /// writes land differs (direct vs overlay). The observer records with no
 /// SM index -- the merge stamps it, so the parallel path cannot depend on
 /// which worker simulated which SM.
-void runSMWaves(const MachineDesc &M, const Kernel &K, Executor &Exec,
+void runSMWaves(const MachineDesc &M, const Kernel &K,
+                const DecodedKernel &Decoded, Executor &Exec,
                 const LaunchDims &Dims, const std::vector<int> &Mine,
                 int ActiveBlocks, uint64_t Watchdog,
                 const ObserverSinks &Sinks, SMOutcome &Out) {
@@ -45,8 +46,8 @@ void runSMWaves(const MachineDesc &M, const Kernel &K, Executor &Exec,
     Out.Obs.beginWave(WaveBlocks.size() *
                           static_cast<size_t>(Dims.warpsPerBlock()),
                       std::max(1, M.WarpSchedulersPerSM), Out.Stats.Cycles);
-    auto Wave = simulateWave(M, K, Exec, Dims, WaveBlocks, Watchdog,
-                             &Out.Trap, &Out.Obs);
+    auto Wave = simulateWave(M, K, Decoded, Exec, Dims, WaveBlocks,
+                             Watchdog, &Out.Trap, &Out.Obs);
     Out.Obs.endWave();
     if (!Wave) {
       Out.Failed = true;
@@ -107,6 +108,11 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
         Res.SharedBytesPerBlock, Res.ThreadsPerBlock));
 
   Executor Exec(M, Global, Config.Params, Dims);
+  // Decoded here, on the calling thread, and shared read-only by every SM
+  // and wave: decoding per wave inside the simulator would allocate each
+  // table in whichever pool worker's malloc arena ran the wave, which
+  // measurably raises peak RSS on parallel launches.
+  const DecodedKernel Decoded = decodeKernel(M, K);
 
   const int WaveWarps = Occ.ActiveBlocks * Dims.warpsPerBlock();
   const uint64_t Watchdog =
@@ -201,8 +207,8 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
     // directly, one SM after the other.
     for (size_t Idx = 0; Idx < PerSMBlocks.size(); ++Idx) {
       SMOutcome Out;
-      runSMWaves(M, K, Exec, Dims, PerSMBlocks[Idx], Occ.ActiveBlocks,
-                 Watchdog, Sinks, Out);
+      runSMWaves(M, K, Decoded, Exec, Dims, PerSMBlocks[Idx],
+                 Occ.ActiveBlocks, Watchdog, Sinks, Out);
       if (!Absorb(Idx, Out))
         return ER::error(Out.Error);
     }
@@ -215,8 +221,8 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
       SMOutcome &Out = Outcomes[Idx];
       Executor SMExec(M, GlobalMemoryView(Global, Out.Overlay),
                       Config.Params, Dims);
-      runSMWaves(M, K, SMExec, Dims, PerSMBlocks[Idx], Occ.ActiveBlocks,
-                 Watchdog, Sinks, Out);
+      runSMWaves(M, K, Decoded, SMExec, Dims, PerSMBlocks[Idx],
+                 Occ.ActiveBlocks, Watchdog, Sinks, Out);
     });
     for (size_t Idx = 0; Idx < Outcomes.size(); ++Idx)
       if (!Absorb(Idx, Outcomes[Idx]))

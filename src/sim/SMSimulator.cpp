@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -55,17 +56,18 @@ enum class WarpBlock : uint8_t {
 
 class SMSim {
 public:
-  SMSim(const MachineDesc &M, const Kernel &K, Executor &Exec,
-        const LaunchDims &Dims, const std::vector<int> &BlockIds,
-        uint64_t WatchdogCycles, SMObserver *Obs)
-      : M(M), K(K), Exec(Exec), Dims(Dims), Obs(Obs),
+  SMSim(const MachineDesc &M, const Kernel &K, const DecodedKernel &Dec,
+        Executor &Exec, const LaunchDims &Dims,
+        const std::vector<int> &BlockIds, uint64_t WatchdogCycles,
+        SMObserver *Obs)
+      : M(M), K(K), Dec(Dec), Exec(Exec), Dims(Dims), Obs(Obs),
+        MemBytesPerCycle(memBytesPerCyclePerSM(M)),
         Wanted(Obs ? Obs->wanted() : 0),
         Budget(WatchdogCycles == 0
                    ? MaxWaveCycles
                    : std::min(WatchdogCycles, MaxWaveCycles)) {
     HasNotations =
         M.Generation != GpuGeneration::Kepler || K.hasNotations();
-    buildInstValidity();
     int WarpsPerBlock = Dims.warpsPerBlock();
     Blocks.reserve(BlockIds.size());
     for (int BlockId : BlockIds) {
@@ -217,33 +219,6 @@ private:
                                        .Sched = Sched});
   }
 
-  /// Precomputes, per static instruction, whether every register and
-  /// predicate index it touches fits the allocated files. The 6-bit
-  /// encoding admits indices past the kernel's declared register count
-  /// (and wide accesses widen past R63; 3-bit guard fields reach the
-  /// non-architectural P4..P6), so mutated or hand-corrupted binaries can
-  /// reference state that does not exist -- those instructions trap at
-  /// issue instead of corrupting simulator memory.
-  void buildInstValidity() {
-    int NumRegs = std::max(K.RegsPerThread, 1);
-    InstRegsOk.resize(K.Code.size());
-    for (size_t PC = 0; PC < K.Code.size(); ++PC) {
-      const Instruction &I = K.Code[PC];
-      bool Ok = true;
-      for (uint8_t Reg : I.sourceRegs())
-        if (Reg != RegRZ && Reg >= NumRegs)
-          Ok = false;
-      for (uint8_t Reg : I.destRegs())
-        if (Reg != RegRZ && Reg >= NumRegs)
-          Ok = false;
-      if (I.GuardPred != PredPT && I.GuardPred >= NumPredRegs)
-        Ok = false;
-      if (I.writesPredicate() && I.Dst >= NumPredRegs)
-        Ok = false;
-      InstRegsOk[PC] = Ok;
-    }
-  }
-
   /// Fills the identity fields of a trap raised by warp \p WarpIdx.
   TrapInfo makeTrap(TrapKind Kind, int WarpIdx,
                     const Instruction *I) const {
@@ -322,55 +297,49 @@ private:
     T.Detail += progressReport();
     Trap = std::move(T);
   }
-  /// The control field for the instruction at \p PC (zeros when the
-  /// kernel carries no notations).
-  ControlField fieldAt(int PC) const {
-    if (M.Generation != GpuGeneration::Kepler || !K.hasNotations())
-      return ControlField();
-    return K.Notations[PC / NotationGroupSize]
-        .Fields[PC % NotationGroupSize];
-  }
 
-  bool regsReady(const WarpContext &W, const Instruction &I) const {
-    for (uint8_t Reg : I.sourceRegs())
+  bool regsReady(const WarpContext &W, const Instruction &I,
+                 const DecodedInst &D) const {
+    for (uint8_t Reg : D.Srcs)
       if (W.RegReady[Reg] > Now)
         return false;
-    for (uint8_t Reg : I.destRegs())
+    for (uint8_t Reg : D.Dsts)
       if (W.RegReady[Reg] > Now)
         return false;
     if (I.GuardPred != PredPT && W.PredReady[I.GuardPred] > Now)
       return false;
-    if (I.writesPredicate() && W.PredReady[I.Dst] > Now)
+    if (D.WritesPred && W.PredReady[I.Dst] > Now)
       return false;
     return true;
   }
 
   /// Earliest cycle at which the operands of \p I can be ready.
-  uint64_t regsReadyCycle(const WarpContext &W,
-                          const Instruction &I) const {
+  uint64_t regsReadyCycle(const WarpContext &W, const Instruction &I,
+                          const DecodedInst &D) const {
     uint64_t T = 0;
-    for (uint8_t Reg : I.sourceRegs())
+    for (uint8_t Reg : D.Srcs)
       T = std::max(T, W.RegReady[Reg]);
-    for (uint8_t Reg : I.destRegs())
+    for (uint8_t Reg : D.Dsts)
       T = std::max(T, W.RegReady[Reg]);
     if (I.GuardPred != PredPT)
       T = std::max(T, W.PredReady[I.GuardPred]);
-    if (I.writesPredicate())
+    if (D.WritesPred)
       T = std::max(T, W.PredReady[I.Dst]);
     return T;
   }
 
-  /// First structural resource blocking \p I this cycle (checked in
-  /// dispatch-port, issue-pipe, math-pipe, LD/ST-pipe order), or None.
-  WarpBlock blockedPipe(const Instruction &I, int Sched) const {
+  /// First structural resource blocking the instruction decoded as \p D
+  /// this cycle (checked in dispatch-port, issue-pipe, math-pipe, LD/ST-pipe
+  /// order), or None.
+  WarpBlock blockedPipe(const DecodedInst &D, int Sched) const {
     double Limit = static_cast<double>(Now) + 1.0;
-    if (dispatchPortCycles(M, I) > 0 && PortFree[Sched] >= Limit)
+    if (D.DispatchPort > 0 && PortFree[Sched] >= Limit)
       return WarpBlock::Port;
-    if (issuePipeCycles(M, I) > 0 && IssuePipeFree >= Limit)
+    if (D.IssuePipe > 0 && IssuePipeFree >= Limit)
       return WarpBlock::IssuePipe;
-    if (mathPipeCycles(M, I) > 0 && MathPipeFree >= Limit)
+    if (D.MathPipe > 0 && MathPipeFree >= Limit)
       return WarpBlock::MathPipe;
-    if (ldstPipeCycles(M, I) > 0 && LdstPipeFree >= Limit)
+    if (D.LdstPipe > 0 && LdstPipeFree >= Limit)
       return WarpBlock::LdstPipe;
     return WarpBlock::None;
   }
@@ -399,7 +368,8 @@ private:
       return true; // Consumed the slot; the run loop stops on Trap.
     }
     const Instruction &I = K.Code[W.PC];
-    if (!InstRegsOk[W.PC]) {
+    const DecodedInst &D = Dec[W.PC];
+    if (!D.RegsOk) {
       TrapInfo T = makeTrap(TrapKind::RegisterIndexOOB, WarpIdx, &I);
       T.Detail = formatString(
           "instruction references registers outside the %d allocated "
@@ -408,12 +378,12 @@ private:
       Trap = std::move(T);
       return true;
     }
-    if (WarpBlock Pipe = blockedPipe(I, Sched); Pipe != WarpBlock::None) {
+    if (WarpBlock Pipe = blockedPipe(D, Sched); Pipe != WarpBlock::None) {
       if (Why)
         *Why = Pipe;
       return false;
     }
-    if (!regsReady(W, I)) {
+    if (!regsReady(W, I, D)) {
       if (Why)
         *Why = WarpBlock::Scoreboard;
       if (AllowReplayPenalty && M.Generation == GpuGeneration::Kepler &&
@@ -434,29 +404,30 @@ private:
       }
       return false;
     }
-    issue(WarpIdx, Sched, I);
+    issue(WarpIdx, Sched, I, D);
     return true;
   }
 
-  void issue(int WarpIdx, int Sched, const Instruction &I) {
+  void issue(int WarpIdx, int Sched, const Instruction &I,
+             const DecodedInst &D) {
     WarpContext &W = Warps[WarpIdx];
     BlockState &B = Blocks[W.BlockSlot];
     const int PCAtIssue = W.PC;
 
     // --- Occupy pipes ------------------------------------------------------
     double NowD = static_cast<double>(Now);
-    if (double Port = dispatchPortCycles(M, I); Port > 0)
-      PortFree[Sched] = std::max(PortFree[Sched], NowD) + Port;
-    if (double Pipe = issuePipeCycles(M, I); Pipe > 0) {
+    if (D.DispatchPort > 0)
+      PortFree[Sched] = std::max(PortFree[Sched], NowD) + D.DispatchPort;
+    if (double Pipe = D.IssuePipe; Pipe > 0) {
       if (!HasNotations)
         Pipe *= NoNotationIssueFactor;
       IssuePipeFree = std::max(IssuePipeFree, NowD) + Pipe;
       // Bank the register-bank-conflict surcharge; lost issue-pipe slots
       // pay it out as SlotUse::RegBankConflict (see accountStall).
-      ConflictDebt += bankConflictExtraCycles(M, I);
+      ConflictDebt += D.ConflictExtra;
     }
-    if (double Pipe = mathPipeCycles(M, I); Pipe > 0)
-      MathPipeFree = std::max(MathPipeFree, NowD) + Pipe;
+    if (D.MathPipe > 0)
+      MathPipeFree = std::max(MathPipeFree, NowD) + D.MathPipe;
 
     // --- Execute functionally ------------------------------------------------
     ExecEffects Fx = Exec.execute(I, W, B.BlockIdLinear, *B.Shared);
@@ -469,11 +440,10 @@ private:
       return;
     }
 
-    if (double Ldst = ldstPipeCycles(M, I); Ldst > 0) {
+    if (D.LdstPipe > 0) {
       double Serial =
-          std::max(1.0, Fx.SharedSerialization /
-                            implicitConflictAllowance(M, I));
-      if (Fx.SharedSerialization > implicitConflictAllowance(M, I)) {
+          std::max(1.0, Fx.SharedSerialization / D.ImplicitConflict);
+      if (Fx.SharedSerialization > D.ImplicitConflict) {
         ++Stats.SharedConflictEvents;
         if (wants(ProbeEvent::BankConflict))
           Obs->emit(ProbeEvent::BankConflict,
@@ -484,29 +454,28 @@ private:
                      .Serialization =
                          static_cast<int64_t>(Fx.SharedSerialization)});
       }
-      LdstPipeFree = std::max(LdstPipeFree, NowD) + Ldst * Serial;
+      LdstPipeFree = std::max(LdstPipeFree, NowD) + D.LdstPipe * Serial;
     }
 
     // --- Scoreboard updates ---------------------------------------------------
     uint64_t Ready;
-    if (opcodeInfo(I.Op).Class == OpClass::GlobalMem &&
-        Fx.GlobalTransactions > 0) {
-      double BwCycles = Fx.GlobalBytes / memBytesPerCyclePerSM(M);
+    if (D.Class == OpClass::GlobalMem && Fx.GlobalTransactions > 0) {
+      double BwCycles = Fx.GlobalBytes / MemBytesPerCycle;
       MemBWFree = std::max(MemBWFree, NowD) + BwCycles;
       Ready = static_cast<uint64_t>(MemBWFree) + M.GlobalMemLatency;
       Stats.GlobalBytes += static_cast<uint64_t>(Fx.GlobalBytes);
       Stats.GlobalTransactions +=
           static_cast<uint64_t>(Fx.GlobalTransactions);
     } else {
-      Ready = Now + static_cast<uint64_t>(resultLatency(M, I));
+      Ready = Now + static_cast<uint64_t>(D.Latency);
     }
-    for (uint8_t Reg : I.destRegs())
+    for (uint8_t Reg : D.Dsts)
       W.RegReady[Reg] = Ready;
-    if (I.writesPredicate())
+    if (D.WritesPred)
       W.PredReady[I.Dst] = Now + static_cast<uint64_t>(M.MathLatency);
 
     // --- Control effects --------------------------------------------------------
-    ControlField F = fieldAt(W.PC);
+    const ControlField &F = D.Ctrl;
     bool WarpExited = false, BlockDrained = false;
     if (Fx.IsExit) {
       W.Done = true;
@@ -534,7 +503,7 @@ private:
         W.NoPenaltyWait = F.Yield;
       } else {
         // Conservative fallback: wait out the full result latency.
-        W.StallUntil = Now + 1 + static_cast<uint64_t>(resultLatency(M, I));
+        W.StallUntil = Now + 1 + static_cast<uint64_t>(D.Latency);
         W.NoPenaltyWait = true;
       }
     } else {
@@ -555,7 +524,7 @@ private:
     // include this instruction; every count here shadows one of the
     // aggregates above, which the probe self-check tests pin exactly.
     if (wants(ProbeEvent::InstIssued) || wants(ProbeEvent::MemAccess)) {
-      const OpClass Class = opcodeInfo(I.Op).Class;
+      const OpClass Class = D.Class;
       ProbeEventRecord R;
       R.PC = PCAtIssue;
       R.Op = static_cast<int64_t>(I.Op);
@@ -605,13 +574,12 @@ private:
   }
 
   Status runScheduler(int Sched, bool &IssuedAny) {
-    int NumWarps = static_cast<int>(Warps.size());
-    // Warps are distributed to schedulers by index.
-    std::vector<int> Mine;
-    Mine.reserve((NumWarps + NumSchedulers - 1) / NumSchedulers);
-    for (int W = Sched; W < NumWarps; W += NumSchedulers)
-      Mine.push_back(W);
-    if (Mine.empty()) {
+    // Warps are distributed to schedulers by index: scheduler Sched owns
+    // warps Sched, Sched + NumSchedulers, ...
+    const int NumWarps = static_cast<int>(Warps.size());
+    const int NumMine =
+        NumWarps > Sched ? (NumWarps - Sched - 1) / NumSchedulers + 1 : 0;
+    if (NumMine == 0) {
       SchedBlocked[Sched] = WarpBlock::None;
       SchedBlockedPC[Sched] = -1;
       accountStall(Sched, WarpBlock::None, -1, Now, 1);
@@ -628,11 +596,10 @@ private:
     WarpBlock Best = WarpBlock::None;
     int BestPC = -1;
     uint64_t BestWait = 0;
-    int Start = RRNext[Sched] % static_cast<int>(Mine.size());
-    for (int Offset = 0; Offset < static_cast<int>(Mine.size());
-         ++Offset) {
-      int Idx = (Start + Offset) % static_cast<int>(Mine.size());
-      int WarpIdx = Mine[Idx];
+    int Start = RRNext[Sched] % NumMine;
+    for (int Offset = 0; Offset < NumMine; ++Offset) {
+      int Idx = (Start + Offset) % NumMine;
+      int WarpIdx = Sched + Idx * NumSchedulers;
       int PCBefore = Warps[WarpIdx].PC;
       WarpBlock Why = WarpBlock::None;
       if (!tryIssue(WarpIdx, Sched, /*AllowReplayPenalty=*/true, &Why)) {
@@ -656,7 +623,7 @@ private:
       // same warp when the notation permits it. The pair shares the
       // slot already counted as Issued.
       if (M.Generation == GpuGeneration::Kepler && HasNotations) {
-        ControlField F = fieldAt(PCBefore);
+        const ControlField &F = Dec[PCBefore].Ctrl;
         WarpContext &W = Warps[WarpIdx];
         if (F.DualIssue && F.StallCycles == 0 && !W.Done &&
             !W.AtBarrier) {
@@ -679,6 +646,10 @@ private:
 
   /// Earliest cycle at which some warp might issue (UINT64_MAX if none).
   uint64_t nextWakeCycle() const {
+    // Pipes may also be the blocker.
+    const double PipeFloor =
+        std::min({IssuePipeFree, MathPipeFree, LdstPipeFree,
+                  *std::min_element(PortFree.begin(), PortFree.end())});
     uint64_t Min = UINT64_MAX;
     for (const WarpContext &W : Warps) {
       if (W.Done || W.AtBarrier)
@@ -688,12 +659,8 @@ private:
       // instruction are immediately eligible: they trap at issue.
       bool PCValid =
           W.PC >= 0 && static_cast<size_t>(W.PC) < K.Code.size();
-      if (PCValid && InstRegsOk[W.PC])
-        T = std::max(T, regsReadyCycle(W, K.Code[W.PC]));
-      // Pipes may also be the blocker.
-      double PipeFloor = std::min(
-          {IssuePipeFree, MathPipeFree, LdstPipeFree,
-           *std::min_element(PortFree.begin(), PortFree.end())});
+      if (PCValid && Dec[W.PC].RegsOk)
+        T = std::max(T, regsReadyCycle(W, K.Code[W.PC], Dec[W.PC]));
       T = std::max(T, static_cast<uint64_t>(PipeFloor));
       Min = std::min(Min, T);
     }
@@ -702,9 +669,13 @@ private:
 
   const MachineDesc &M;
   const Kernel &K;
+  /// Per-PC decoded facts (sim/DecodedKernel.h), one entry per K.Code.
+  const DecodedKernel &Dec;
   Executor &Exec;
   const LaunchDims &Dims;
   SMObserver *Obs;
+  /// memBytesPerCyclePerSM(M): the global-memory bandwidth pipe's rate.
+  const double MemBytesPerCycle;
   /// Obs->wanted(), or 0 without an observer: one test per event site.
   const uint32_t Wanted;
   const uint64_t Budget;
@@ -738,8 +709,6 @@ private:
 
   SimStats Stats;
   std::optional<TrapInfo> Trap;
-  /// Per-instruction precomputed register/predicate validity.
-  std::vector<uint8_t> InstRegsOk;
 };
 
 } // namespace
@@ -752,10 +721,11 @@ std::set<std::string> MachineNames;
 } // namespace
 
 Expected<SimStats> gpuperf::simulateWave(
-    const MachineDesc &M, const Kernel &K, Executor &Exec,
-    const LaunchDims &Dims, const std::vector<int> &BlockIds,
+    const MachineDesc &M, const Kernel &K, const DecodedKernel &Decoded,
+    Executor &Exec, const LaunchDims &Dims, const std::vector<int> &BlockIds,
     uint64_t WatchdogCycles, TrapInfo *TrapOut, SMObserver *Observer) {
-  SMSim Sim(M, K, Exec, Dims, BlockIds, WatchdogCycles, Observer);
+  assert(Decoded.size() == K.Code.size() && "table decoded from K");
+  SMSim Sim(M, K, Decoded, Exec, Dims, BlockIds, WatchdogCycles, Observer);
   Expected<SimStats> Result = Sim.run(TrapOut);
   if (Result.hasValue()) {
     SimulatedCycleTally.fetch_add(Result->Cycles,

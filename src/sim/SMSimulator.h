@@ -21,6 +21,7 @@
 
 #include "arch/MachineDesc.h"
 #include "isa/Module.h"
+#include "sim/DecodedKernel.h"
 #include "sim/Executor.h"
 #include "sim/Observer.h"
 #include "sim/Stats.h"
@@ -44,7 +45,10 @@ inline constexpr uint64_t MaxWaveCycles = 1ull << 33;
 /// deadlock): the failure message is TrapInfo::toString() and, when
 /// \p TrapOut is non-null, *TrapOut receives the full structured record.
 /// \p WatchdogCycles bounds the wave's simulated cycles (0 applies only
-/// the MaxWaveCycles backstop).
+/// the MaxWaveCycles backstop). \p Decoded is decodeKernel(M, K): the
+/// issue loop reads every static per-instruction fact from it, so the
+/// caller decodes once per launch and shares the table across SMs and
+/// waves.
 ///
 /// The returned stats satisfy the issue-slot invariant: every cycle each
 /// of the machine's warp schedulers owns one issue slot, accounted to
@@ -59,6 +63,7 @@ inline constexpr uint64_t MaxWaveCycles = 1ull << 33;
 /// emitted where the stats are counted, so a profile fed from them
 /// satisfies profile.breakdown() == Stats.Breakdown.
 Expected<SimStats> simulateWave(const MachineDesc &M, const Kernel &K,
+                                const DecodedKernel &Decoded,
                                 Executor &Exec, const LaunchDims &Dims,
                                 const std::vector<int> &BlockIds,
                                 uint64_t WatchdogCycles = 0,

@@ -105,10 +105,14 @@ struct WarpContext {
     else
       Preds[Pred] &= ~(1u << Lane);
   }
-  /// Guard evaluation for one lane.
-  bool guardTrue(const Instruction &I, int Lane) const {
-    bool P = readPred(I.GuardPred, Lane);
-    return I.GuardNeg ? !P : P;
+  /// Guard evaluation for all 32 lanes at once, as a lane mask (bit L
+  /// set = the guard holds in lane L). Non-architectural P4..P6 read
+  /// false in every lane, as readPred does.
+  uint32_t guardMask(const Instruction &I) const {
+    uint32_t P = I.GuardPred == PredPT        ? 0xffffffffu
+                 : I.GuardPred < NumPredRegs ? Preds[I.GuardPred]
+                                             : 0u;
+    return I.GuardNeg ? ~P : P;
   }
 };
 

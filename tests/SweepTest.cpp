@@ -10,7 +10,8 @@
 /// never checkpointed, so a resume re-runs exactly it), and --resume
 /// serves checkpointed points without ever re-running them -- with the
 /// combined output (rows and digest) bit-identical to an uninterrupted
-/// run for every job count.
+/// run for every job count. A bench record resumed entirely from its
+/// checkpoint still names the machines of its sweeps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 
 using namespace gpuperf;
 
@@ -220,6 +223,40 @@ TEST_F(Sweep, RowsHashIgnoresExecutionOrder) {
           .Report.RowsHash,
       runCheckpointedSweep(8, nullptr, "s", 16, healthyPoint)
           .Report.RowsHash);
+}
+
+TEST_F(Sweep, ResumeServingEveryPointNamesTheSweepMachines) {
+  // A resume that finds every point in the checkpoint simulates nothing
+  // (what CI's crash-recovery stage sees when its kill lands after the
+  // bench finished). Its record must still name the machines of the
+  // uninterrupted run, or perfdiff refuses the pair.
+  const std::string Base = CkptPath + ".fig4";
+  auto Fig4 = [&](const std::string &Json, const char *Extra) {
+    return std::system(
+        (std::string(GPUPERF_FIG4_PATH) + " --jobs 2 --no-cache" +
+         " --checkpoint " + Base + ".ckpt --json " + Json + Extra +
+         " > " + Json + ".txt 2> /dev/null")
+            .c_str());
+  };
+  ASSERT_EQ(Fig4(Base + ".full.json", ""), 0);
+  ASSERT_EQ(Fig4(Base + ".resumed.json", " --resume"), 0);
+  std::ifstream In(Base + ".resumed.json");
+  std::string Record((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+  EXPECT_NE(Record.find("\"machines\":[\"GTX580\",\"GTX680\"]"),
+            std::string::npos)
+      << Record;
+  EXPECT_NE(Record.find("\"sim_cycles\":0,"), std::string::npos)
+      << "every point should have come from the checkpoint: " << Record;
+  EXPECT_EQ(std::system((std::string(GPUPERF_PERFDIFF_PATH) + " " + Base +
+                         ".full.json " + Base + ".resumed.json" +
+                         " --ignore sim_cycles --ignore issue_slots" +
+                         " > /dev/null")
+                            .c_str()),
+            0);
+  for (const char *Suffix : {".ckpt", ".full.json", ".full.json.txt",
+                             ".resumed.json", ".resumed.json.txt"})
+    std::remove((Base + Suffix).c_str());
 }
 
 } // namespace
