@@ -84,21 +84,29 @@ void BM_SerializeModule(benchmark::State &State) {
 BENCHMARK(BM_SerializeModule);
 
 /// Runs \p I for one full warp through Executor::execute, with R1 holding
-/// lane * \p Stride + \p Base as the address register.
+/// lane * \p Stride + \p Base as the address register and P0 holding
+/// \p P0Lanes.
 void executeWarpInst(benchmark::State &State, const MachineDesc &M,
-                     const Instruction &I, int Stride, int Base) {
+                     const Instruction &I, int Stride, int Base,
+                     uint32_t P0Lanes = 0) {
   GlobalMemory Global(1 << 16);
   std::vector<uint32_t> Params;
   LaunchDims Dims;
   Dims.BlockX = WarpSize;
   Executor Exec(M, Global, Params, Dims);
   SharedMemory Shared(4096);
+  Kernel K;
+  K.Code = {I};
+  K.RegsPerThread = 16;
+  const DecodedInst D = decodeKernel(M, K)[0];
   WarpContext W;
-  W.reset(16);
+  W.reset(K.RegsPerThread);
+  uint32_t *Addr = W.writableRow(1);
   for (int Lane = 0; Lane < WarpSize; ++Lane)
-    W.writeReg(1, Lane, static_cast<uint32_t>(Lane * Stride + Base));
+    Addr[Lane] = static_cast<uint32_t>(Lane * Stride + Base);
+  W.Preds[0] = P0Lanes;
   for (auto _ : State) {
-    ExecEffects Fx = Exec.execute(I, W, 0, Shared);
+    ExecEffects Fx = Exec.execute(I, D, W, 0, Shared);
     benchmark::DoNotOptimize(Fx);
   }
 }
@@ -108,10 +116,38 @@ void BM_ExecuteFFMA(benchmark::State &State) {
 }
 BENCHMARK(BM_ExecuteFFMA);
 
+/// FFMA guarded by P0 with half the lanes set: the masked-select path.
+void BM_ExecuteFFMAHalfMask(benchmark::State &State) {
+  Instruction I = makeFFMA(10, 1, 4, 10);
+  I.GuardPred = 0;
+  executeWarpInst(State, gtx680(), I, 0, 0, 0x0000ffffu);
+}
+BENCHMARK(BM_ExecuteFFMAHalfMask);
+
+void BM_ExecuteIADDImm(benchmark::State &State) {
+  executeWarpInst(State, gtx680(), makeIADDImm(10, 1, 64), 4, 0);
+}
+BENCHMARK(BM_ExecuteIADDImm);
+
+void BM_ExecuteISETP(benchmark::State &State) {
+  executeWarpInst(State, gtx680(), makeISETP(CmpOp::LT, 1, 1, 4), 1, 0);
+}
+BENCHMARK(BM_ExecuteISETP);
+
 void BM_ExecuteLDS64(benchmark::State &State) {
   executeWarpInst(State, gtx580(), makeLDS(MemWidth::B64, 4, 1, 0), 8, 0);
 }
 BENCHMARK(BM_ExecuteLDS64);
+
+void BM_ExecuteLDS128(benchmark::State &State) {
+  executeWarpInst(State, gtx680(), makeLDS(MemWidth::B128, 4, 1, 0), 16, 0);
+}
+BENCHMARK(BM_ExecuteLDS128);
+
+void BM_ExecuteSTS(benchmark::State &State) {
+  executeWarpInst(State, gtx580(), makeSTS(MemWidth::B32, 1, 0, 4), 4, 0);
+}
+BENCHMARK(BM_ExecuteSTS);
 
 void BM_ExecuteLD(benchmark::State &State) {
   executeWarpInst(State, gtx580(), makeLD(MemWidth::B32, 4, 1, 0), 4, 512);

@@ -9,6 +9,7 @@
 #include "sim/Timing.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace gpuperf;
 
@@ -31,6 +32,9 @@ DecodedKernel gpuperf::decodeKernel(const MachineDesc &M, const Kernel &K) {
     E.Latency = resultLatency(M, I);
     E.Class = opcodeInfo(I.Op).Class;
     E.WritesPred = I.writesPredicate();
+    E.ImmSrc1 = I.immReplacesSrc1();
+    E.WidthBytes = memWidthBytes(I.Width);
+    E.WidthLog2 = std::countr_zero(static_cast<unsigned>(E.WidthBytes));
     auto Allocated = [&](uint8_t Reg) {
       return Reg == RegRZ || Reg < NumRegs;
     };

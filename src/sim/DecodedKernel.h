@@ -6,11 +6,12 @@
 ///
 /// \file
 /// A flat per-PC table of every static fact the SM simulator's issue loop
-/// needs: register lists, the Timing.h pipe costs, latency, op class, the
-/// Kepler control field and the register-validity bit. The SM simulator
-/// asks these questions for every warp on every cycle, while their answers
-/// depend only on the machine and the instruction, so launchKernel decodes
-/// the kernel once and every SM and every wave read the table.
+/// and executor need: register lists, the Timing.h pipe costs, latency, op
+/// class, the immediate-operand rule, the access width, the Kepler control
+/// field and the register-validity bit. The SM simulator asks these
+/// questions for every warp on every cycle, while their answers depend
+/// only on the machine and the instruction, so launchKernel decodes the
+/// kernel once and every SM and every wave read the table.
 ///
 /// Each field caches exactly one Timing.h rule or Instruction query; the
 /// table adds no cost rule of its own (tests/SimTimingTest.cpp checks
@@ -41,6 +42,9 @@ struct DecodedInst {
   int Latency = 0;               ///< resultLatency().
   OpClass Class = OpClass::Control;
   bool WritesPred = false; ///< Instruction::writesPredicate().
+  bool ImmSrc1 = false;    ///< Instruction::immReplacesSrc1().
+  int WidthBytes = 4;      ///< memWidthBytes(Width).
+  int WidthLog2 = 2;       ///< log2 of WidthBytes.
   /// Every register and predicate index fits the allocated files; false
   /// makes the instruction trap at issue (see decodeKernel).
   bool RegsOk = true;

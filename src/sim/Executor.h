@@ -8,6 +8,9 @@
 /// Executes one instruction functionally for all 32 lanes of a warp, and
 /// reports the side information the timing model needs: shared-memory bank
 /// serialization, global-memory transaction counts, and control effects.
+/// Execution works on register rows (a register's 32 lane words, see
+/// WarpContext::row): each opcode is one loop over whole rows that applies
+/// the guard/active lane mask as a select.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +19,13 @@
 
 #include "arch/MachineDesc.h"
 #include "isa/Module.h"
+#include "sim/DecodedKernel.h"
 #include "sim/Memory.h"
 #include "sim/Trap.h"
 #include "sim/Warp.h"
 #include "support/Error.h"
 
+#include <string>
 #include <vector>
 
 namespace gpuperf {
@@ -52,11 +57,10 @@ struct ExecEffects {
   /// out-of-bounds or misaligned accesses, divergent branches, invalid
   /// register indices, unimplemented opcodes.
   TrapKind Trap = TrapKind::None;
-  /// Faulting address (memory traps) and first faulting lane.
+  /// Faulting address (memory traps) and first faulting lane. The
+  /// diagnostic text is built on the trap path only (Executor::trapDetail).
   uint64_t TrapAddress = 0;
   int TrapLane = -1;
-  /// Extra context for the diagnostic (e.g. the offending offset).
-  std::string TrapDetail;
 
   bool faulted() const { return Trap != TrapKind::None; }
 };
@@ -68,21 +72,39 @@ struct ExecEffects {
 /// parallel per-SM path (view over a private write overlay).
 class Executor {
 public:
+  /// The bank and segment arithmetic uses shifts and masks, so the
+  /// machine's SharedMemBanks and SharedMemBankBytes must be powers of two
+  /// (asserted; tests/ArchTest.cpp checks every built-in machine).
   Executor(const MachineDesc &M, GlobalMemoryView Global,
-           const std::vector<uint32_t> &Params, const LaunchDims &Dims)
-      : M(M), Global(Global), Params(Params), Dims(Dims) {}
+           const std::vector<uint32_t> &Params, const LaunchDims &Dims);
 
-  /// Executes \p I for warp \p W whose block is \p BlockIdxLinear
-  /// (linearized ctaid) with shared memory \p Shared. Advances nothing;
-  /// the caller owns the PC.
-  ExecEffects execute(const Instruction &I, WarpContext &W,
-                      int BlockIdxLinear, SharedMemory &Shared) const;
+  /// Executes \p I, whose decoded entry is \p D, for warp \p W whose
+  /// block is \p BlockIdxLinear (linearized ctaid) with shared memory
+  /// \p Shared. Advances nothing; the caller owns the PC.
+  ///
+  /// A memory instruction traps at the first live lane k whose address is
+  /// misaligned or out of bounds: the live lanes below k have performed
+  /// their loads and stores, and lanes k and up touch nothing.
+  ExecEffects execute(const Instruction &I, const DecodedInst &D,
+                      WarpContext &W, int BlockIdxLinear,
+                      SharedMemory &Shared) const;
+
+  /// The diagnostic context of the trap \p Fx that execute() raised for
+  /// \p I (e.g. the access width or the allocation size).
+  std::string trapDetail(const Instruction &I, const ExecEffects &Fx,
+                         const SharedMemory &Shared) const;
 
 private:
-  const MachineDesc &M;
+  /// execute()'s LD/ST path, for the live lanes \p Lanes (non-zero).
+  ExecEffects executeMemory(const Instruction &I, const DecodedInst &D,
+                            WarpContext &W, uint32_t Lanes,
+                            SharedMemory &Shared) const;
+
   GlobalMemoryView Global;
   const std::vector<uint32_t> &Params;
   const LaunchDims &Dims;
+  /// log2(SharedMemBankBytes) and log2(SharedMemBanks).
+  int BankShift, BanksLog2;
 };
 
 } // namespace gpuperf

@@ -232,6 +232,9 @@ public:
     std::memcpy(Data.data() + Addr, &Value, 4);
   }
   int size() const { return static_cast<int>(Data.size()); }
+  /// The raw bytes, for the executor's LD/ST path, which checks a whole
+  /// warp access against size() before touching any of them.
+  uint8_t *data() { return Data.data(); }
 
 private:
   std::vector<uint8_t> Data;

@@ -430,12 +430,12 @@ private:
       MathPipeFree = std::max(MathPipeFree, NowD) + D.MathPipe;
 
     // --- Execute functionally ------------------------------------------------
-    ExecEffects Fx = Exec.execute(I, W, B.BlockIdLinear, *B.Shared);
+    ExecEffects Fx = Exec.execute(I, D, W, B.BlockIdLinear, *B.Shared);
     if (Fx.faulted()) {
       TrapInfo T = makeTrap(Fx.Trap, WarpIdx, &I);
       T.Address = Fx.TrapAddress;
       T.Lane = Fx.TrapLane;
-      T.Detail = Fx.TrapDetail;
+      T.Detail = Exec.trapDetail(I, Fx, *B.Shared);
       Trap = std::move(T);
       return;
     }

@@ -18,6 +18,9 @@ namespace gpuperf {
 /// Number of threads per warp (fixed across all three generations).
 inline constexpr int WarpSize = 32;
 
+/// The row every RZ and out-of-file register reads (see WarpContext::row).
+inline constexpr uint32_t ZeroRow[WarpSize] = {};
+
 /// Architectural plus timing state of one resident warp.
 struct WarpContext {
   // --- Identity -----------------------------------------------------------
@@ -66,48 +69,27 @@ struct WarpContext {
   /// Number of allocated architectural registers for this warp.
   int numRegs() const { return static_cast<int>(Regs.size() / WarpSize); }
 
-  /// Register accessors are total: indices past the allocated file (the
-  /// scheduler traps those instructions before they execute) read zero
-  /// and drop writes instead of running off the vector in NDEBUG builds.
-  uint32_t readReg(uint8_t Reg, int Lane) const {
-    if (Reg == RegRZ)
-      return 0;
-    size_t Idx = static_cast<size_t>(Reg) * WarpSize + Lane;
-    if (Idx >= Regs.size())
-      return 0;
-    return Regs[Idx];
+  /// Register rows: register Reg's 32 lane words, contiguous at
+  /// &Regs[Reg * WarpSize]. Rows are total: RZ and indices past the
+  /// allocated file (the scheduler traps those instructions before they
+  /// execute) read the static zero row, and their write row is null so
+  /// writes are dropped instead of running off the vector.
+  const uint32_t *row(uint8_t Reg) const {
+    return Reg != RegRZ && Reg < numRegs()
+               ? &Regs[static_cast<size_t>(Reg) * WarpSize]
+               : ZeroRow;
   }
-  void writeReg(uint8_t Reg, int Lane, uint32_t Value) {
-    if (Reg == RegRZ)
-      return;
-    size_t Idx = static_cast<size_t>(Reg) * WarpSize + Lane;
-    if (Idx >= Regs.size())
-      return;
-    Regs[Idx] = Value;
+  uint32_t *writableRow(uint8_t Reg) {
+    return Reg != RegRZ && Reg < numRegs()
+               ? &Regs[static_cast<size_t>(Reg) * WarpSize]
+               : nullptr;
   }
-  /// Predicate accessors are total: the encoding has 3-bit guard fields,
-  /// so P4..P6 are representable but not architectural. The simulator
-  /// traps such instructions before execution; these guards keep even a
-  /// missed path safe in NDEBUG builds (reads false, writes dropped).
-  bool readPred(uint8_t Pred, int Lane) const {
-    if (Pred == PredPT)
-      return true;
-    if (Pred >= NumPredRegs)
-      return false;
-    return (Preds[Pred] >> Lane) & 1;
-  }
-  void writePred(uint8_t Pred, int Lane, bool Value) {
-    assert(Pred < NumPredRegs && "write to invalid predicate");
-    if (Pred >= NumPredRegs)
-      return;
-    if (Value)
-      Preds[Pred] |= 1u << Lane;
-    else
-      Preds[Pred] &= ~(1u << Lane);
-  }
+
   /// Guard evaluation for all 32 lanes at once, as a lane mask (bit L
-  /// set = the guard holds in lane L). Non-architectural P4..P6 read
-  /// false in every lane, as readPred does.
+  /// set = the guard holds in lane L). The encoding has 3-bit guard
+  /// fields, so P4..P6 are representable but not architectural; the
+  /// scheduler traps such instructions before execution, and here they
+  /// read false in every lane so even a missed path stays safe.
   uint32_t guardMask(const Instruction &I) const {
     uint32_t P = I.GuardPred == PredPT        ? 0xffffffffu
                  : I.GuardPred < NumPredRegs ? Preds[I.GuardPred]

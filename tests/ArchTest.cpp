@@ -7,9 +7,11 @@
 #include "arch/MachineDesc.h"
 #include "arch/Occupancy.h"
 #include "arch/RegisterBank.h"
+#include "isa/Instruction.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 using namespace gpuperf;
@@ -62,6 +64,21 @@ TEST(MachineDesc, FindMachine) {
   EXPECT_EQ(findMachine("Kepler"), &gtx680());
   EXPECT_EQ(findMachine("GTX280"), &gt200());
   EXPECT_EQ(findMachine("RTX4090"), nullptr);
+}
+
+TEST(MachineDesc, SharedBankGeometryIsPowersOfTwo) {
+  // The executor maps shared addresses to banks and global addresses to
+  // segments with shifts and masks, which is exact only for power-of-two
+  // bank counts, bank words and access widths.
+  for (const MachineDesc *M : {&gt200(), &gtx580(), &gtx680(), &teslaK20X()}) {
+    EXPECT_TRUE(std::has_single_bit(static_cast<unsigned>(M->SharedMemBanks)))
+        << M->Name;
+    EXPECT_TRUE(
+        std::has_single_bit(static_cast<unsigned>(M->SharedMemBankBytes)))
+        << M->Name;
+  }
+  for (MemWidth W : {MemWidth::B32, MemWidth::B64, MemWidth::B128})
+    EXPECT_TRUE(std::has_single_bit(static_cast<unsigned>(memWidthBytes(W))));
 }
 
 // --- Register banks (Section 3.3) -------------------------------------------

@@ -21,11 +21,15 @@
 #include "sim/Launcher.h"
 #include "sim/Timing.h"
 #include "support/Format.h"
+#include "support/Rng.h"
 #include "ubench/MixBench.h"
 #include "ubench/OpPattern.h"
 #include "ubench/PerfDatabase.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 using namespace gpuperf;
 
@@ -247,6 +251,9 @@ void expectDecodesLikeTiming(const MachineDesc &M, const Kernel &K) {
     EXPECT_EQ(E.Latency, resultLatency(M, I));
     EXPECT_EQ(E.Class, opcodeInfo(I.Op).Class);
     EXPECT_EQ(E.WritesPred, I.writesPredicate());
+    EXPECT_EQ(E.ImmSrc1, I.immReplacesSrc1());
+    EXPECT_EQ(E.WidthBytes, memWidthBytes(I.Width));
+    EXPECT_EQ(1 << E.WidthLog2, E.WidthBytes);
     EXPECT_EQ(E.RegsOk,
               expectedRegsOk(I, std::max(K.RegsPerThread, 1)));
     ControlField Expected;
@@ -266,9 +273,11 @@ TEST(DecodedKernel, EveryFieldEqualsTheRuleItCaches) {
   K.RegsPerThread = 63;
   for (const MachineDesc *M : allMachines())
     expectDecodesLikeTiming(*M, K);
-  // The corpus reaches the bank-conflict surcharge and the
-  // repeated-source fast path, not only their zero cases.
+  // The corpus reaches the bank-conflict surcharge, the repeated-source
+  // fast path and the immediate second source, not only their zero cases.
   DecodedKernel Kepler = decodeKernel(gtx680(), K);
+  EXPECT_TRUE(std::any_of(Kepler.begin(), Kepler.end(),
+                          [](const DecodedInst &E) { return E.ImmSrc1; }));
   double FfmaFree = issuePipeCycles(gtx680(), makeFFMA(20, 1, 4, 7));
   EXPECT_TRUE(std::any_of(Kepler.begin(), Kepler.end(),
                           [](const DecodedInst &E) {
@@ -378,6 +387,82 @@ TEST(SharedBankConflicts, StridedAccessSerializesOnFermi) {
   uint64_t Conflicted =
       cyclesFor(gtx580(), ldsStrideBody(128, 64), 256, 4096);
   EXPECT_GT(Conflicted, 10 * Sequential);
+}
+
+namespace {
+
+/// The serialization definition, computed directly: per bank, the number
+/// of distinct bank words the live lanes touch; the worst bank's count,
+/// normalized by the inherent passes of a sequential access.
+double referenceSerialization(const MachineDesc &M,
+                              const std::vector<int64_t> &Addrs, int Width) {
+  std::map<int64_t, std::set<int64_t>> Banks;
+  for (int64_t A : Addrs)
+    for (int Offset = 0; Offset < Width; Offset += M.SharedMemBankBytes) {
+      int64_t Word = (A + Offset) / M.SharedMemBankBytes;
+      Banks[Word % M.SharedMemBanks].insert(Word);
+    }
+  size_t Degree = 0;
+  for (const auto &[Bank, Words] : Banks)
+    Degree = std::max(Degree, Words.size());
+  int Ideal = std::max(1, static_cast<int>(Addrs.size()) * Width /
+                              M.SharedMemBankBytes / M.SharedMemBanks);
+  return std::max(1.0, static_cast<double>(Degree) / Ideal);
+}
+
+} // namespace
+
+TEST(SharedBankConflicts, SerializationMatchesDistinctWordsPerBank) {
+  // Random aligned LDS patterns -- broadcast groups, power-of-two strides
+  // and scattered words -- under random live masks, on every machine and
+  // width: the executor's factor equals the definition exactly.
+  Rng R(15);
+  for (const MachineDesc *M : allMachines())
+    for (MemWidth MW : {MemWidth::B32, MemWidth::B64, MemWidth::B128}) {
+      const int Width = memWidthBytes(MW);
+      Kernel K;
+      K.Code = {makeLDS(MW, 4, 1, 0)};
+      K.RegsPerThread = 16;
+      const DecodedInst D = decodeKernel(*M, K)[0];
+      GlobalMemory GM(4096);
+      const std::vector<uint32_t> NoParams;
+      LaunchDims Dims;
+      Dims.BlockX = WarpSize;
+      Executor Exec(*M, GM, NoParams, Dims);
+      SharedMemory Shared(8192);
+      for (int Trial = 0; Trial < 300; ++Trial) {
+        WarpContext W;
+        W.reset(K.RegsPerThread);
+        W.ActiveMask = Trial % 3 ? 0xffffffffu
+                                 : static_cast<uint32_t>(R.next()) | 1u;
+        const int Groups = 1 + static_cast<int>(R.nextBelow(32));
+        const int64_t Stride = int64_t(Width) << R.nextBelow(6);
+        uint32_t *Addr = W.writableRow(1);
+        std::vector<int64_t> Live;
+        for (int Lane = 0; Lane < WarpSize; ++Lane) {
+          int64_t A;
+          switch (Trial % 3) {
+          case 0: // Broadcast groups.
+            A = (Lane % Groups) * Width;
+            break;
+          case 1: // Strided, wrapping inside the allocation.
+            A = Lane * Stride % 8192;
+            break;
+          default: // Scattered.
+            A = static_cast<int64_t>(R.nextBelow(8192 / Width)) * Width;
+            break;
+          }
+          Addr[Lane] = static_cast<uint32_t>(A);
+          if (W.ActiveMask >> Lane & 1)
+            Live.push_back(A);
+        }
+        ExecEffects Fx = Exec.execute(K.Code[0], D, W, 0, Shared);
+        ASSERT_FALSE(Fx.faulted());
+        ASSERT_EQ(Fx.SharedSerialization,
+                  referenceSerialization(*M, Live, Width))
+            << M->Name << " width " << Width << " trial " << Trial;
+      }
+    }
 }
 
 namespace {
